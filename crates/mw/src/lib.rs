@@ -25,8 +25,9 @@
 //! * [`resilience`] — straggler hedging ([`resilience::HedgePolicy`],
 //!   `NSX_HEDGE`), heartbeat liveness, and jittered respawn backoff
 //!   (DESIGN.md §16), shared by the pool, backend, and transport layers.
-//! * [`transport`] — the process-level distribution seam (DESIGN.md §12): a
-//!   versioned, CRC-guarded frame protocol over Unix-domain sockets to real
+//! * [`transport`] — the master–worker message layer and process-level
+//!   distribution seam (DESIGN.md §12): a versioned, CRC-guarded frame
+//!   protocol ([`transport::frame`]) over Unix-domain sockets to real
 //!   worker *processes* ([`transport::ProcessBackend`]), with in-process
 //!   channels as the second [`transport::Transport`] implementation and
 //!   master-side network-fault injection.
@@ -43,7 +44,6 @@
 
 pub mod alloc;
 pub mod backend;
-pub mod comm;
 pub mod faults;
 pub mod objective;
 pub mod pool;
@@ -53,7 +53,6 @@ pub mod transport;
 
 pub use alloc::Allocation;
 pub use backend::ThreadedBackend;
-pub use comm::{network, CommError, Endpoint, Message, Packable};
 pub use faults::{Delay, FaultPlan, WorkerFault};
 pub use objective::{MwObjective, MwStream};
 pub use pool::{

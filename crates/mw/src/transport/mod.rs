@@ -1,4 +1,4 @@
-//! The transport seam under [`crate::comm`]: how master and workers exchange
+//! The master–worker message layer: how master and workers exchange
 //! frames (DESIGN.md §12).
 //!
 //! The paper's MW deployment runs master and workers as separate MPI ranks

@@ -207,44 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernels_integrate_like_the_scalar_path() {
-        // Short trajectories under the simd and sharded engines must track
-        // the scalar cell-list trajectory: per-step force agreement is
-        // ~1e-12 relative, so 25 steps leave no visible divergence.
-        let rc = small_system(8).box_len / 2.0;
-        let run = |mut eng: crate::kernel::ForceEngine| -> System {
-            let mut sys = small_system(8);
-            let mut f = eng.compute(&sys, rc);
-            for _ in 0..25 {
-                f = step(&mut sys, &f, 1.0, rc, &mut eng);
-            }
-            assert!(sys.constraints_satisfied(1e-6));
-            sys
-        };
-        let cell = run(crate::kernel::ForceEngine::new(
-            crate::kernel::ForceKernel::CellList,
-        ));
-        let simd = run(crate::kernel::ForceEngine::new(
-            crate::kernel::ForceKernel::Simd,
-        ));
-        let sharded = run(crate::kernel::ForceEngine::with_sharding(1.0, 4, 2));
-        for (a, b, c) in itertools_zip(&cell.molecules, &simd.molecules, &sharded.molecules) {
-            for s in 0..3 {
-                assert!((a.r[s] - b.r[s]).norm() < 1e-8, "simd drifted");
-                assert!((a.r[s] - c.r[s]).norm() < 1e-8, "sharded drifted");
-            }
-        }
-    }
-
-    fn itertools_zip<'a, T>(
-        a: &'a [T],
-        b: &'a [T],
-        c: &'a [T],
-    ) -> impl Iterator<Item = (&'a T, &'a T, &'a T)> {
-        a.iter().zip(b).zip(c).map(|((x, y), z)| (x, y, z))
-    }
-
-    #[test]
     fn nve_energy_is_approximately_conserved() {
         let mut sys = small_system(3);
         let rc = sys.box_len / 2.0;

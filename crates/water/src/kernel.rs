@@ -5,23 +5,7 @@
 //! production path — a linked-cell spatial grid over the periodic box plus a
 //! Verlet neighbor list with a skin radius — behind the [`ForceKernel`]
 //! enum, selectable per engine or process-wide via `NSX_FORCE_KERNEL`
-//! (`naive` | `cell` | `simd` | `sharded`, default `cell`).
-//!
-//! On top of the scalar cell-list path sit two hardware-fast tiers sharing
-//! the same neighbor list (exposed to them as a CSR row view):
-//!
-//! * [`ForceKernel::Simd`] — packs positions into a structure-of-arrays
-//!   store ([`crate::soa`]) and runs the lane-batched kernel
-//!   ([`crate::simd`]): candidate filtering, 9-site gathering, and packed
-//!   4-wide square-root/division stages instead of the scalar per-pair
-//!   loop.
-//! * [`ForceKernel::Sharded`] — the same lane kernel with the list's rows
-//!   partitioned into a fixed number of shards ([`crate::shard`],
-//!   `DEFAULT_SHARDS`) evaluated on a private `mw` worker pool and reduced
-//!   in shard-index order, so results are bit-identical across worker
-//!   counts (1, 2, 4, ...). The pool is spawned lazily on the first
-//!   sharded evaluation and sized by [`ForceEngine::with_sharding`] or
-//!   `available_parallelism`.
+//! (`naive` | `cell`, default `cell`).
 //!
 //! # Exactness
 //!
@@ -54,13 +38,9 @@
 //! over the many steps the Verlet skin keeps the list valid.
 
 use crate::forces::{compute_forces, Forces};
-use crate::shard::{compute_sharded, Csr, Snapshot, DEFAULT_SHARDS};
-use crate::simd::{compute_rows, LaneScratch, PairParams};
-use crate::soa::{SoaForces, SoaSites};
 use crate::system::{min_image_vec, System};
 use crate::units::COULOMB;
 use crate::vec3::Vec3;
-use mw_framework::pool::MwPool;
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,38 +55,37 @@ pub const DEFAULT_SKIN: f64 = 1.0;
 pub enum ForceKernel {
     /// The all-pairs O(n²) oracle in [`crate::forces`].
     Naive,
-    /// Linked-cell grid + Verlet neighbor list (O(n) per step), scalar.
+    /// Linked-cell grid + Verlet neighbor list (O(n) per step).
     #[default]
     CellList,
-    /// The lane-batched SoA kernel over the same neighbor list
-    /// ([`crate::simd`]), serial.
-    Simd,
-    /// The lane-batched kernel with list rows sharded across a worker pool
-    /// and reduced in fixed shard order ([`crate::shard`]).
-    Sharded,
 }
 
 impl ForceKernel {
-    /// Parse a kernel name (`naive`, `cell`/`celllist`/`cell-list`/
-    /// `cell_list`, `simd`, or `sharded`/`shard`), case-insensitive.
+    /// Parse a kernel name (`naive` or `cell`/`celllist`/`cell-list`/
+    /// `cell_list`), case-insensitive.
     pub fn parse(s: &str) -> Option<ForceKernel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "naive" => Some(ForceKernel::Naive),
             "cell" | "celllist" | "cell-list" | "cell_list" => Some(ForceKernel::CellList),
-            "simd" => Some(ForceKernel::Simd),
-            "sharded" | "shard" => Some(ForceKernel::Sharded),
             _ => None,
         }
     }
 
-    /// Kernel selection from the `NSX_FORCE_KERNEL` environment variable;
-    /// unset or unrecognized values fall back to the default
-    /// ([`ForceKernel::CellList`]).
+    /// Kernel selection from the `NSX_FORCE_KERNEL` environment variable,
+    /// defaulting to [`ForceKernel::CellList`] when unset. Panics on an
+    /// unrecognized value — a misconfigured run must fail loudly, not
+    /// silently fall back to the default kernel.
     pub fn from_env() -> ForceKernel {
-        std::env::var("NSX_FORCE_KERNEL")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
+        Self::from_setting(std::env::var("NSX_FORCE_KERNEL").ok().as_deref())
+    }
+
+    /// [`ForceKernel::from_env`] over an already-read setting.
+    fn from_setting(value: Option<&str>) -> ForceKernel {
+        match value {
+            None => ForceKernel::default(),
+            Some(v) => Self::parse(v)
+                .unwrap_or_else(|| panic!("invalid NSX_FORCE_KERNEL='{v}': expected naive|cell")),
+        }
     }
 
     /// Stable lower-case name (matches what [`ForceKernel::parse`] accepts).
@@ -114,14 +93,7 @@ impl ForceKernel {
         match self {
             ForceKernel::Naive => "naive",
             ForceKernel::CellList => "cell",
-            ForceKernel::Simd => "simd",
-            ForceKernel::Sharded => "sharded",
         }
-    }
-
-    /// True for the kernels that evaluate through the Verlet neighbor list.
-    fn uses_list(&self) -> bool {
-        !matches!(self, ForceKernel::Naive)
     }
 }
 
@@ -136,12 +108,6 @@ pub struct KernelStats {
     pub force_nanos: u64,
     /// Σ over rebuilds of the pair count of the freshly built list.
     pub pair_sum: u64,
-    /// 4-wide lane batches executed (simd/sharded kernels).
-    pub lanes: u64,
-    /// Shard jobs evaluated (sharded kernel).
-    pub shards: u64,
-    /// Wall-clock spent packing the SoA position store, ns.
-    pub pack_nanos: u64,
 }
 
 impl KernelStats {
@@ -166,18 +132,13 @@ impl KernelStats {
 /// Registry handles mirrored when a registry is attached
 /// ([`ForceEngine::with_metrics`]). Metric names: `water.kernel.evals`,
 /// `water.kernel.rebuilds`, `water.kernel.force_nanos`,
-/// `water.kernel.neighbor_pairs` (Σ list length over rebuilds),
-/// `water.kernel.lanes` (4-wide lane batches), `water.kernel.shards`
-/// (shard jobs), `water.kernel.pack_nanos` (SoA pack wall-clock), and the
+/// `water.kernel.neighbor_pairs` (Σ list length over rebuilds), and the
 /// `water.kernel.avg_neighbors` gauge (neighbors per molecule at build).
 struct KernelObs {
     evals: Arc<Counter>,
     rebuilds: Arc<Counter>,
     force_nanos: Arc<Counter>,
     neighbor_pairs: Arc<Counter>,
-    lanes: Arc<Counter>,
-    shards: Arc<Counter>,
-    pack_nanos: Arc<Counter>,
     avg_neighbors: Arc<Gauge>,
 }
 
@@ -188,9 +149,6 @@ impl KernelObs {
             rebuilds: registry.counter("water.kernel.rebuilds"),
             force_nanos: registry.counter("water.kernel.force_nanos"),
             neighbor_pairs: registry.counter("water.kernel.neighbor_pairs"),
-            lanes: registry.counter("water.kernel.lanes"),
-            shards: registry.counter("water.kernel.shards"),
-            pack_nanos: registry.counter("water.kernel.pack_nanos"),
             avg_neighbors: registry.gauge("water.kernel.avg_neighbors"),
         }
     }
@@ -211,9 +169,6 @@ struct NeighborList {
     /// Canonically ordered (i < j, sorted) so results are independent of
     /// whether the grid or the fallback sweep built the list.
     pairs: Vec<(u32, u32)>,
-    /// The same pairs as CSR rows for the lane/sharded kernels; behind an
-    /// `Arc` so per-evaluation shard snapshots share it by refcount.
-    csr: Arc<Csr>,
     ref_o: Vec<Vec3>,
     box_len: f64,
     rc: f64,
@@ -254,10 +209,8 @@ impl NeighborList {
             Self::sweep_pairs(sys, r_list_sq)
         };
         pairs.sort_unstable();
-        let csr = Arc::new(Csr::from_pairs(sys.n_molecules(), &pairs));
         NeighborList {
             pairs,
-            csr,
             ref_o: sys.molecules.iter().map(|m| m.r[0]).collect(),
             box_len: l,
             rc,
@@ -354,14 +307,6 @@ impl NeighborList {
     }
 }
 
-/// Reusable buffers for the serial lane-batched path.
-#[derive(Debug, Default)]
-struct SimdState {
-    soa: SoaSites,
-    scratch: LaneScratch,
-    out: SoaForces,
-}
-
 /// A stateful force evaluator: kernel selection plus the cached neighbor
 /// list and instrumentation. One engine per simulation; sharing an engine
 /// across systems is safe (the cache keys on box/count/cutoff) but wastes
@@ -372,13 +317,6 @@ pub struct ForceEngine {
     list: Option<NeighborList>,
     stats: KernelStats,
     obs: Option<KernelObs>,
-    simd: SimdState,
-    /// Shard count for [`ForceKernel::Sharded`] — fixes the reduction tree,
-    /// so it must not track worker availability.
-    shards: usize,
-    /// Worker threads for the lazily spawned private pool.
-    shard_workers: usize,
-    pool: Option<MwPool>,
 }
 
 impl std::fmt::Debug for ForceEngine {
@@ -386,8 +324,6 @@ impl std::fmt::Debug for ForceEngine {
         f.debug_struct("ForceEngine")
             .field("kernel", &self.kernel)
             .field("skin", &self.skin)
-            .field("shards", &self.shards)
-            .field("shard_workers", &self.shard_workers)
             .field("stats", &self.stats)
             .finish()
     }
@@ -414,32 +350,13 @@ impl ForceEngine {
     /// An engine with an explicit Verlet skin (Å, > 0).
     pub fn with_skin(kernel: ForceKernel, skin: f64) -> Self {
         assert!(skin > 0.0, "Verlet skin must be positive, got {skin}");
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         ForceEngine {
             kernel,
             skin,
             list: None,
             stats: KernelStats::default(),
             obs: None,
-            simd: SimdState::default(),
-            shards: DEFAULT_SHARDS,
-            shard_workers: hw.min(DEFAULT_SHARDS),
-            pool: None,
         }
-    }
-
-    /// A [`ForceKernel::Sharded`] engine with explicit shard and worker
-    /// counts. The shard count fixes the partition and reduction order
-    /// (results change at rounding level when it changes); the worker
-    /// count is pure execution detail (results are bit-identical across
-    /// worker counts).
-    pub fn with_sharding(skin: f64, shards: usize, workers: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(workers >= 1, "need at least one worker");
-        let mut e = Self::with_skin(ForceKernel::Sharded, skin);
-        e.shards = shards;
-        e.shard_workers = workers;
-        e
     }
 
     /// An engine mirroring its counters into `registry` (`water.kernel.*`).
@@ -479,31 +396,24 @@ impl ForceEngine {
     /// via the selected kernel.
     pub fn compute(&mut self, sys: &System, rc: f64) -> Forces {
         let t0 = Instant::now();
-        let out = if self.kernel.uses_list() {
-            if !self.list.as_ref().is_some_and(|l| l.is_current(sys, rc)) {
-                let list = NeighborList::build(sys, rc, self.skin);
-                self.stats.rebuilds += 1;
-                self.stats.record_pairs(list.pairs.len() as u64);
-                if let Some(o) = &self.obs {
-                    o.rebuilds.inc();
-                    o.neighbor_pairs.add(list.pairs.len() as u64);
-                    let n = sys.n_molecules().max(1);
-                    o.avg_neighbors.record((2 * list.pairs.len() / n) as u64);
+        let out = match self.kernel {
+            ForceKernel::Naive => compute_forces(sys, rc),
+            ForceKernel::CellList => {
+                if !self.list.as_ref().is_some_and(|l| l.is_current(sys, rc)) {
+                    let list = NeighborList::build(sys, rc, self.skin);
+                    self.stats.rebuilds += 1;
+                    self.stats.record_pairs(list.pairs.len() as u64);
+                    if let Some(o) = &self.obs {
+                        o.rebuilds.inc();
+                        o.neighbor_pairs.add(list.pairs.len() as u64);
+                        let n = sys.n_molecules().max(1);
+                        o.avg_neighbors.record((2 * list.pairs.len() / n) as u64);
+                    }
+                    self.list = Some(list);
                 }
-                self.list = Some(list);
+                let pairs = self.list.as_ref().map_or(&[][..], |l| l.pairs.as_slice());
+                pair_forces(sys, rc, pairs)
             }
-            match self.kernel {
-                ForceKernel::CellList => {
-                    let pairs = self.list.as_ref().map_or(&[][..], |l| l.pairs.as_slice());
-                    pair_forces(sys, rc, pairs)
-                }
-                ForceKernel::Simd => self.simd_eval(sys, rc),
-                ForceKernel::Sharded => self.shard_eval(sys, rc),
-                // uses_list() is false for Naive.
-                ForceKernel::Naive => unreachable!(),
-            }
-        } else {
-            compute_forces(sys, rc)
         };
         let dt = t0.elapsed().as_nanos() as u64;
         self.stats.evals += 1;
@@ -513,71 +423,6 @@ impl ForceEngine {
             o.force_nanos.add(dt);
         }
         out
-    }
-
-    /// Serial lane-batched evaluation: one "shard" spanning every list row.
-    fn simd_eval(&mut self, sys: &System, rc: f64) -> Forces {
-        let params = PairParams::new(&sys.model, rc, rc + reach_pad(sys));
-        let tp = Instant::now();
-        self.simd.soa.pack(sys);
-        let pack_ns = tp.elapsed().as_nanos() as u64;
-        let n = sys.n_molecules();
-        self.simd.out.reset(n);
-        let csr = match &self.list {
-            Some(l) => Arc::clone(&l.csr),
-            None => Arc::new(Csr::from_pairs(n, &[])),
-        };
-        let lanes = compute_rows(
-            &self.simd.soa,
-            sys.box_len,
-            &params,
-            &csr.row_start,
-            &csr.cols,
-            0..n,
-            &mut self.simd.scratch,
-            &mut self.simd.out,
-        );
-        self.record_lane_eval(lanes, 0, pack_ns);
-        self.simd.out.into_forces(sys.model.msite_coeff())
-    }
-
-    /// Sharded evaluation: snapshot the SoA store behind an `Arc`, fan the
-    /// fixed row partition out over the private pool, reduce in shard
-    /// order.
-    fn shard_eval(&mut self, sys: &System, rc: f64) -> Forces {
-        let params = PairParams::new(&sys.model, rc, rc + reach_pad(sys));
-        let tp = Instant::now();
-        let mut soa = SoaSites::default();
-        soa.pack(sys);
-        let pack_ns = tp.elapsed().as_nanos() as u64;
-        let n = sys.n_molecules();
-        let csr = match &self.list {
-            Some(l) => Arc::clone(&l.csr),
-            None => Arc::new(Csr::from_pairs(n, &[])),
-        };
-        let snap = Arc::new(Snapshot {
-            soa,
-            box_len: sys.box_len,
-            params,
-            csr,
-        });
-        let workers = self.shard_workers;
-        let pool = self.pool.get_or_insert_with(|| MwPool::new(workers));
-        self.simd.out.reset(n);
-        let (lanes, shards_run) = compute_sharded(pool, &snap, self.shards, &mut self.simd.out);
-        self.record_lane_eval(lanes, shards_run, pack_ns);
-        self.simd.out.into_forces(sys.model.msite_coeff())
-    }
-
-    fn record_lane_eval(&mut self, lanes: u64, shards: u64, pack_ns: u64) {
-        self.stats.lanes += lanes;
-        self.stats.shards += shards;
-        self.stats.pack_nanos += pack_ns;
-        if let Some(o) = &self.obs {
-            o.lanes.add(lanes);
-            o.shards.add(shards);
-            o.pack_nanos.add(pack_ns);
-        }
     }
 }
 
@@ -759,14 +604,22 @@ mod tests {
         assert_eq!(ForceKernel::parse("cell"), Some(ForceKernel::CellList));
         assert_eq!(ForceKernel::parse("Cell-List"), Some(ForceKernel::CellList));
         assert_eq!(ForceKernel::parse("cell_list"), Some(ForceKernel::CellList));
-        assert_eq!(ForceKernel::parse("simd"), Some(ForceKernel::Simd));
-        assert_eq!(ForceKernel::parse("SIMD"), Some(ForceKernel::Simd));
-        assert_eq!(ForceKernel::parse("sharded"), Some(ForceKernel::Sharded));
-        assert_eq!(ForceKernel::parse("shard"), Some(ForceKernel::Sharded));
         assert_eq!(ForceKernel::parse("ewald"), None);
         assert_eq!(ForceKernel::default(), ForceKernel::CellList);
-        assert_eq!(ForceKernel::Simd.name(), "simd");
-        assert_eq!(ForceKernel::Sharded.name(), "sharded");
+        assert_eq!(ForceKernel::Naive.name(), "naive");
+        assert_eq!(ForceKernel::CellList.name(), "cell");
+    }
+
+    #[test]
+    fn unset_setting_selects_the_default_kernel() {
+        assert_eq!(ForceKernel::from_setting(None), ForceKernel::CellList);
+        assert_eq!(ForceKernel::from_setting(Some("naive")), ForceKernel::Naive);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NSX_FORCE_KERNEL='simd': expected naive|cell")]
+    fn unknown_setting_panics_naming_the_knob_and_value() {
+        ForceKernel::from_setting(Some("simd"));
     }
 
     #[test]
@@ -853,59 +706,8 @@ mod tests {
     }
 
     #[test]
-    fn simd_matches_naive_on_a_lattice() {
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 7);
-        for rc in [3.0, 4.0, sys.box_len / 2.0] {
-            let naive = compute_forces(&sys, rc);
-            let mut engine = ForceEngine::new(ForceKernel::Simd);
-            let simd = engine.compute(&sys, rc);
-            assert_close(&naive, &simd, 1e-10);
-            assert_eq!(engine.stats().rebuilds, 1);
-            assert!(engine.stats().lanes > 0, "lane batches should be counted");
-        }
-    }
-
-    #[test]
-    fn sharded_matches_simd_bitwise_with_one_shard() {
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 9);
-        let rc = 4.0;
-        let mut serial = ForceEngine::new(ForceKernel::Simd);
-        let a = serial.compute(&sys, rc);
-        // One shard spans every row: the reduction tree is identical to the
-        // serial sweep, so the results must be bit-for-bit equal.
-        let mut sharded = ForceEngine::with_sharding(DEFAULT_SKIN, 1, 2);
-        let b = sharded.compute(&sys, rc);
-        assert_eq!(a.potential, b.potential);
-        assert_eq!(a.virial, b.virial);
-        assert_eq!(a.f, b.f);
-        assert_eq!(sharded.stats().shards, 1);
-    }
-
-    #[test]
-    fn sharded_is_bit_identical_across_worker_counts() {
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 13);
-        let rc = 4.0;
-        let naive = compute_forces(&sys, rc);
-        let mut reference: Option<Forces> = None;
-        for workers in [1usize, 2, 4] {
-            let mut engine = ForceEngine::with_sharding(DEFAULT_SKIN, DEFAULT_SHARDS, workers);
-            let out = engine.compute(&sys, rc);
-            assert_close(&naive, &out, 1e-10);
-            assert!(engine.stats().shards >= 1);
-            match &reference {
-                None => reference = Some(out),
-                Some(r) => {
-                    assert_eq!(r.potential, out.potential, "workers={workers}");
-                    assert_eq!(r.virial, out.virial, "workers={workers}");
-                    assert_eq!(r.f, out.f, "workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn stats_start_clean_and_saturate() {
-        let engine = ForceEngine::new(ForceKernel::Simd);
+        let engine = ForceEngine::new(ForceKernel::CellList);
         assert_eq!(engine.stats().ns_per_eval(), 0.0, "no evals yet → 0.0");
         let mut stats = KernelStats {
             pair_sum: u64::MAX - 1,
@@ -913,23 +715,6 @@ mod tests {
         };
         stats.record_pairs(100);
         assert_eq!(stats.pair_sum, u64::MAX, "pair_sum must saturate");
-    }
-
-    #[test]
-    fn metrics_mirror_lane_kernel_activity() {
-        let reg = MetricsRegistry::new();
-        let sys = System::lattice(TIP4P, 3, 0.997, 298.0, 8);
-        let mut engine = ForceEngine::with_metrics(ForceKernel::Simd, 1.0, &reg);
-        engine.compute(&sys, 4.0);
-        assert_eq!(
-            reg.counter("water.kernel.lanes").get(),
-            engine.stats().lanes
-        );
-        assert!(reg.counter("water.kernel.lanes").get() > 0);
-        assert_eq!(
-            reg.counter("water.kernel.pack_nanos").get(),
-            engine.stats().pack_nanos
-        );
     }
 
     #[test]

@@ -29,10 +29,7 @@ pub mod model;
 pub mod npt;
 pub mod properties;
 pub mod reference;
-pub mod shard;
-pub mod simd;
 pub mod simulate;
-pub mod soa;
 pub mod surrogate;
 pub mod system;
 pub mod trajectory;

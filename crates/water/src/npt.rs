@@ -101,9 +101,9 @@ pub fn equilibrate_npt(
 }
 
 /// [`equilibrate_npt`] driving a caller-supplied [`ForceEngine`], so a
-/// pre-configured kernel (explicit skin, simd, sharded with chosen shard and
-/// worker counts) is not silently overridden by the environment default, and
-/// the engine's stats/list survive for the caller to inspect or reuse.
+/// pre-configured kernel (explicit kernel or skin) is not silently overridden
+/// by the environment default, and the engine's stats/list survive for the
+/// caller to inspect or reuse.
 pub fn equilibrate_npt_with(
     sys: &mut System,
     barostat: &Barostat,
@@ -210,7 +210,7 @@ mod tests {
         // from_env one): its eval/rebuild counters advance, and the
         // repeated box rescales force a rebuild per step.
         let mut sys = System::lattice(TIP4P, 2, 1.1, 298.0, 4);
-        let mut engine = crate::kernel::ForceEngine::new(crate::kernel::ForceKernel::Simd);
+        let mut engine = crate::kernel::ForceEngine::new(crate::kernel::ForceKernel::CellList);
         let steps = 40;
         let res = equilibrate_npt_with(
             &mut sys,
@@ -223,7 +223,6 @@ mod tests {
         assert!(res.box_len > 0.0);
         assert!(engine.stats().evals >= steps as u64);
         assert!(engine.stats().rebuilds >= steps as u64);
-        assert!(engine.stats().lanes > 0, "simd path should have run");
         assert!(sys.constraints_satisfied(1e-5));
     }
 }

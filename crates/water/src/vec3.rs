@@ -132,93 +132,6 @@ impl SubAssign for Vec3 {
     }
 }
 
-/// Four f64 lanes with elementwise arithmetic.
-///
-/// Stable-Rust SIMD: the fixed-size array plus per-lane loops compile to
-/// packed vector instructions under `-O` (the autovectorizer keeps a
-/// `[f64; 4]` that only flows through elementwise ops in registers), with
-/// no nightly `std::simd` features. Used by the lane-batched force kernel
-/// (`water::simd`); lane order is part of the determinism contract — sums
-/// over lanes must use [`F64x4::fold_sum`] so the reduction order is fixed.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct F64x4(pub [f64; 4]);
-
-impl F64x4 {
-    /// All four lanes set to `v`.
-    #[inline(always)]
-    pub fn splat(v: f64) -> F64x4 {
-        F64x4([v; 4])
-    }
-
-    /// Load four consecutive values from `s` starting at `at`.
-    #[inline(always)]
-    pub fn load(s: &[f64], at: usize) -> F64x4 {
-        F64x4([s[at], s[at + 1], s[at + 2], s[at + 3]])
-    }
-
-    /// Store the four lanes into `s` starting at `at`.
-    #[inline(always)]
-    pub fn store(self, s: &mut [f64], at: usize) {
-        s[at..at + 4].copy_from_slice(&self.0);
-    }
-
-    /// Elementwise square root.
-    #[inline(always)]
-    pub fn sqrt(self) -> F64x4 {
-        let mut o = self.0;
-        for v in &mut o {
-            *v = v.sqrt();
-        }
-        F64x4(o)
-    }
-
-    /// Elementwise reciprocal (exact IEEE division, not an approximation).
-    #[inline(always)]
-    pub fn recip(self) -> F64x4 {
-        let mut o = self.0;
-        for v in &mut o {
-            *v = 1.0 / *v;
-        }
-        F64x4(o)
-    }
-
-    /// Sum of the lanes in fixed order: `((l0 + l1) + l2) + l3`.
-    #[inline(always)]
-    pub fn fold_sum(self) -> f64 {
-        ((self.0[0] + self.0[1]) + self.0[2]) + self.0[3]
-    }
-}
-
-macro_rules! lanewise {
-    ($trait:ident, $fn:ident, $op:tt) => {
-        impl $trait for F64x4 {
-            type Output = F64x4;
-            #[inline(always)]
-            fn $fn(self, o: F64x4) -> F64x4 {
-                let mut r = [0.0; 4];
-                for l in 0..4 {
-                    r[l] = self.0[l] $op o.0[l];
-                }
-                F64x4(r)
-            }
-        }
-    };
-}
-
-lanewise!(Add, add, +);
-lanewise!(Sub, sub, -);
-lanewise!(Mul, mul, *);
-lanewise!(Div, div, /);
-
-impl AddAssign for F64x4 {
-    #[inline(always)]
-    fn add_assign(&mut self, o: F64x4) {
-        for l in 0..4 {
-            self.0[l] += o.0[l];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,31 +171,5 @@ mod tests {
         assert_eq!(v, Vec3::new(2.0, 3.0, 4.0));
         v -= Vec3::new(2.0, 3.0, 4.0);
         assert_eq!(v, Vec3::zero());
-    }
-
-    #[test]
-    fn lanes_elementwise_ops() {
-        let a = F64x4([1.0, 4.0, 9.0, 16.0]);
-        let b = F64x4::splat(2.0);
-        assert_eq!((a + b).0, [3.0, 6.0, 11.0, 18.0]);
-        assert_eq!((a - b).0, [-1.0, 2.0, 7.0, 14.0]);
-        assert_eq!((a * b).0, [2.0, 8.0, 18.0, 32.0]);
-        assert_eq!((a / b).0, [0.5, 2.0, 4.5, 8.0]);
-        assert_eq!(a.sqrt().0, [1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.recip().0, [1.0, 0.25, 1.0 / 9.0, 0.0625]);
-        assert_eq!(a.fold_sum(), 30.0);
-    }
-
-    #[test]
-    fn lanes_load_store_roundtrip() {
-        let src = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5];
-        let v = F64x4::load(&src, 2);
-        assert_eq!(v.0, [2.5, 3.5, 4.5, 5.5]);
-        let mut dst = [0.0; 6];
-        v.store(&mut dst, 1);
-        assert_eq!(dst, [0.0, 2.5, 3.5, 4.5, 5.5, 0.0]);
-        let mut acc = F64x4::splat(1.0);
-        acc += v;
-        assert_eq!(acc.0, [3.5, 4.5, 5.5, 6.5]);
     }
 }

@@ -93,98 +93,6 @@ fn scaleup_step_cost_grows_mildly_with_dimension() {
 }
 
 #[test]
-fn manual_master_worker_simplex_over_the_comm_layer() {
-    // Drive one full DET optimization where every evaluation crosses the
-    // MWRMComm-style message layer as packed bytes: master (rank 0) ships
-    // points to two workers, workers evaluate Rosenbrock and ship values
-    // back. Exercises pack/unpack/send/recv end to end.
-    use mw_framework::comm::network;
-    use noisy_simplex::geometry::{centroid_excluding, contract, expand, order, reflect};
-
-    const TAG_POINT: u32 = 1;
-    const TAG_VALUE: u32 = 2;
-    const TAG_STOP: u32 = 3;
-
-    let mut eps = network(2);
-    let w1 = eps.pop().unwrap();
-    let mut master = eps.pop().unwrap();
-
-    let worker = |mut ep: mw_framework::comm::Endpoint| {
-        std::thread::spawn(move || loop {
-            // A stop message carries an empty point.
-            let (_, x): (usize, Vec<f64>) = match ep.recv(Some(0), None) {
-                Ok(v) => v,
-                Err(_) => return,
-            };
-            if x.is_empty() {
-                return;
-            }
-            let f = Rosenbrock::new(2).value(&x);
-            ep.send(0, TAG_VALUE, &f).unwrap();
-        })
-    };
-    let h1 = worker(w1);
-
-    let eval = |master: &mut mw_framework::comm::Endpoint, x: &[f64]| -> f64 {
-        master.send(1, TAG_POINT, &x.to_vec()).unwrap();
-        let (_, f): (usize, f64) = master.recv(Some(1), Some(TAG_VALUE)).unwrap();
-        f
-    };
-
-    let mut points = noisy_simplex::init::random_uniform(2, -2.0, 2.0, 3);
-    let mut values: Vec<f64> = points.iter().map(|p| eval(&mut master, p)).collect();
-    for _ in 0..200 {
-        let ord = order(&values);
-        if values[ord.max] - values[ord.min] < 1e-10 {
-            break;
-        }
-        let cent = centroid_excluding(&points, ord.max);
-        let refl = reflect(&cent, &points[ord.max], 1.0);
-        let f_ref = eval(&mut master, &refl);
-        if f_ref < values[ord.min] {
-            let exp = expand(&cent, &refl, 2.0);
-            let f_exp = eval(&mut master, &exp);
-            if f_exp < f_ref {
-                points[ord.max] = exp;
-                values[ord.max] = f_exp;
-            } else {
-                points[ord.max] = refl;
-                values[ord.max] = f_ref;
-            }
-        } else if f_ref < values[ord.max] {
-            points[ord.max] = refl;
-            values[ord.max] = f_ref;
-        } else {
-            let con = contract(&cent, &points[ord.max], 0.5);
-            let f_con = eval(&mut master, &con);
-            if f_con < values[ord.max] {
-                points[ord.max] = con;
-                values[ord.max] = f_con;
-            } else {
-                let keep = points[ord.min].clone();
-                for (i, p) in points.iter_mut().enumerate() {
-                    if i == ord.min {
-                        continue;
-                    }
-                    for (pj, kj) in p.iter_mut().zip(&keep) {
-                        *pj = 0.5 * *pj + 0.5 * kj;
-                    }
-                }
-                for (i, p) in points.clone().iter().enumerate() {
-                    if i != ord.min {
-                        values[i] = eval(&mut master, p);
-                    }
-                }
-            }
-        }
-    }
-    let best = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(best < 1e-3, "comm-layer simplex reached only {best}");
-    master.send(1, TAG_STOP, &Vec::<f64>::new()).unwrap();
-    h1.join().unwrap();
-}
-
-#[test]
 fn mw_objective_reports_true_values() {
     let pool = Arc::new(MwPool::new(1));
     let inner = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
