@@ -3,7 +3,7 @@
 //! are measured with error bars.
 
 use crate::blocking::block_analysis;
-use crate::integrate::{kinetic_energy, rescale_to, step, temperature};
+use crate::integrate::{rescale_to, step, temperature};
 use crate::kernel::{ForceEngine, ForceKernel};
 use crate::model::WaterModel;
 use crate::properties::{pressure_atm, MsdTracker, RdfAccumulator, RdfKind};
@@ -123,8 +123,6 @@ pub fn run_md(model: WaterModel, cfg: &MdConfig) -> MdProperties {
             msd.sample(&sys, i as f64 * cfg.dt);
         }
     }
-    // Keep the borrow checker simple: kinetic_energy is cheap.
-    let _ = kinetic_energy(&sys);
 
     // Honest error bars via block averaging: MD samples are correlated, so
     // the naive sigma/sqrt(n) would understate the noise the optimizers see.
