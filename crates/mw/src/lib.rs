@@ -15,22 +15,28 @@
 //!   `NSX_FAULTS`) for chaos-testing the supervision layer.
 //! * [`task`] — the structured `MwTask`/`MwDriver`/`WorkerCtx` layer with
 //!   the server→clients fan-out.
-//! * [`backend`] — the pool-backed [`backend::ThreadedBackend`]
+//! * `dispatch` (crate-private) — the one master loop behind both
+//!   sampling backends: retry from master-side stream clones, per-attempt
+//!   deadlines, straggler hedging and degradation to inline execution,
+//!   over a small link trait implemented by [`pool::MwPool`] and
+//!   [`transport::ProcessPool`] (DESIGN.md §8, §9, §16).
+//! * [`backend`] — [`backend::ThreadedBackend`], the thread-pool
 //!   implementation of `stoch-eval`'s `SamplingBackend` seam: whole
-//!   sampling rounds fan out over the workers, with retry/timeout recovery
-//!   and serial degradation when the pool is lost (DESIGN.md §9).
+//!   sampling rounds fan out over the workers through the dispatch loop.
 //! * [`objective`] — an adapter that runs any `StochasticObjective`'s
 //!   sampling on MW workers, so the optimizers in `noisy-simplex` can be
 //!   deployed on the pool unchanged.
 //! * [`resilience`] — straggler hedging ([`resilience::HedgePolicy`],
 //!   `NSX_HEDGE`), heartbeat liveness, and jittered respawn backoff
-//!   (DESIGN.md §16), shared by the pool, backend, and transport layers.
+//!   (DESIGN.md §16), shared by the pools, the dispatch loop, and the
+//!   transport.
 //! * [`transport`] — the master–worker message layer and process-level
 //!   distribution seam (DESIGN.md §12): a versioned, CRC-guarded frame
 //!   protocol ([`transport::frame`]) over Unix-domain sockets to real
-//!   worker *processes* ([`transport::ProcessBackend`]), with in-process
-//!   channels as the second [`transport::Transport`] implementation and
-//!   master-side network-fault injection.
+//!   worker *processes* ([`transport::ProcessBackend`], the socket side of
+//!   the dispatch loop), with in-process channels as the second
+//!   [`transport::Transport`] implementation and master-side network-fault
+//!   injection.
 //!
 //! (The §3.4 scale-up experiment lives in the `repro-bench` crate.)
 //!
@@ -44,6 +50,7 @@
 
 pub mod alloc;
 pub mod backend;
+mod dispatch;
 pub mod faults;
 pub mod objective;
 pub mod pool;

@@ -161,12 +161,12 @@ impl std::error::Error for WorkerLost {}
 
 /// How a master-side caller re-dispatches work lost to worker failure.
 ///
-/// Used by `ThreadedBackend` (and available to any pool client): an attempt
-/// that ends in [`WorkerLost`] — or exceeds `timeout` — is re-submitted, up
-/// to `max_attempts` total tries, sleeping an exponentially growing
-/// `backoff` between tries. Because retried jobs are re-created from
-/// master-side state (cloned streams carrying their RNG), a retry reproduces
-/// the lost result bit for bit; see DESIGN.md §9.
+/// Used by the dispatch loop behind both backends (and available to any
+/// pool client): an attempt that ends in [`WorkerLost`] — or exceeds
+/// `timeout` — is re-submitted, up to `max_attempts` total tries, sleeping
+/// an exponentially growing `backoff` between tries. Because retried jobs
+/// are re-created from master-side state (cloned streams carrying their
+/// RNG), a retry reproduces the lost result bit for bit; see DESIGN.md §9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total tries per job, including the first (≥ 1).

@@ -201,12 +201,23 @@ impl Default for HedgePolicy {
 }
 
 impl HedgePolicy {
-    /// The policy selected by `NSX_HEDGE`, or the disabled default.
+    /// The policy selected by `NSX_HEDGE`, or the disabled default when
+    /// unset. Panics naming the knob on a value [`parse`](Self::parse)
+    /// rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_HEDGE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
+        Self::from_setting(std::env::var("NSX_HEDGE").ok().as_deref())
+    }
+
+    /// [`HedgePolicy::from_env`] over an already-read setting.
+    fn from_setting(value: Option<&str>) -> Self {
+        match value {
+            None => Self::default(),
+            Some(v) => Self::parse(v).unwrap_or_else(|| {
+                panic!(
+                    "invalid NSX_HEDGE='{v}': expected off|on[:q=..][:factor=..][:min_ms=..][:warmup=..]"
+                )
+            }),
+        }
     }
 
     /// An enabled policy with the default knobs.
@@ -474,6 +485,21 @@ mod tests {
         assert_eq!(HedgePolicy::parse("on:factor=0.5"), None);
         assert_eq!(HedgePolicy::parse("maybe"), None);
         assert_eq!(HedgePolicy::parse("on:bogus=1"), None);
+    }
+
+    #[test]
+    fn hedge_setting_defaults_when_unset_and_parses_when_set() {
+        assert_eq!(HedgePolicy::from_setting(None), HedgePolicy::default());
+        assert_eq!(
+            HedgePolicy::from_setting(Some("on")),
+            HedgePolicy::enabled()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NSX_HEDGE='on:q=2'")]
+    fn malformed_hedge_setting_panics_naming_the_knob_and_value() {
+        HedgePolicy::from_setting(Some("on:q=2"));
     }
 
     #[test]

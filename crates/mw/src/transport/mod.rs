@@ -24,9 +24,10 @@
 //! Network chaos is injected master-side by [`FaultedTransport`], driven by
 //! the `netdelay`/`netdrop`/`partition`/`reorder` directives of
 //! [`crate::faults::FaultPlan`]. Lost frames are recovered by the
-//! per-attempt timeout + retry machinery in [`ProcessBackend`], which
-//! re-dispatches from master-side stream backups exactly like the threaded
-//! backend — so every survivable fault plan is invisible in the results.
+//! per-attempt timeout + retry machinery of the dispatch loop that
+//! [`ProcessBackend`] shares with the threaded backend, which re-dispatches
+//! from master-side stream backups — so every survivable fault plan is
+//! invisible in the results.
 
 pub mod frame;
 pub mod inproc;
@@ -82,7 +83,7 @@ impl From<FrameError> for TransportError {
 /// Implementations deliver frames reliably and in order on a healthy link
 /// (both sides of the seam are stream-oriented); unreliability is modelled
 /// explicitly by [`FaultedTransport`], and recovery lives one layer up in
-/// [`ProcessBackend`]'s retry loop.
+/// the dispatch loop behind [`ProcessBackend`].
 pub trait Transport: Send {
     /// Send one frame. [`TransportError::Closed`] when the peer is gone.
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;

@@ -10,17 +10,21 @@
 //! can re-dispatch from its master-side backups — bit-identically, because
 //! the backups carry the RNG state. When the budget is exhausted and no
 //! worker is alive the pool is *failed* and the backend degrades to inline
-//! execution, exactly like the threaded backend, surfacing through
-//! [`SamplingBackend::degraded`] and `mw.backend.degraded`.
+//! execution, surfacing through [`SamplingBackend::degraded`] and
+//! `mw.backend.degraded`.
 //!
-//! Unlike threads, a wire cannot distinguish a lost frame from a slow
-//! worker, so the process backend always enforces a per-attempt timeout:
-//! [`RetryPolicy::timeout`] when set, [`DEFAULT_ATTEMPT_TIMEOUT`] otherwise.
+//! Retry, per-attempt deadlines, hedging and degradation live in the
+//! dispatch loop shared with the threaded backend ([`crate::dispatch`]);
+//! this file supplies the socket side of it (the [`Link`] impl for
+//! [`ProcessPool`]). Unlike threads, a wire cannot distinguish a lost frame
+//! from a slow worker, so the socket link always brings a per-attempt
+//! deadline: [`RetryPolicy::timeout`] when set, [`DEFAULT_ATTEMPT_TIMEOUT`]
+//! otherwise.
 //!
 //! # Service-level resilience (DESIGN.md §16)
 //!
-//! Three policies from [`crate::resilience`] harden the transport beyond
-//! crash recovery:
+//! Two policies from [`crate::resilience`] harden the transport beyond
+//! crash recovery, and the shared loop adds straggler hedging:
 //!
 //! * **Heartbeat liveness** (`NSX_HEARTBEAT`, on by default): the pool
 //!   sends a `Ping` frame on any link silent past the interval; a link
@@ -48,21 +52,25 @@
 //! legs assert.
 //!
 //! Streams whose type has no [`SampleStream::wire_id`] cannot be expressed
-//! on the wire; the backend runs those batches in-process (counted in
-//! `mw.transport.inline_jobs`). That is a capability limit, not a fault, so
-//! it does **not** set the degraded flag.
+//! on the wire; the link reports them unsupported and they run in-process
+//! (counted in `mw.transport.inline_jobs`). That is a capability limit, not
+//! a fault, so it does **not** set the degraded flag. A job a worker refuses
+//! runs inline the same way (`mw.transport.unsupported`), and an
+//! undecodable result counts as a lost copy.
 
 use super::worker::{ensure_linked, WORKER_FAULTS_ENV, WORKER_SOCKET_ENV};
 use super::{wire, FaultedTransport, Frame, FrameKind, SocketTransport, Transport, TransportError};
+use crate::backend::{hardware_threads, workers_setting};
+use crate::dispatch::{Dispatcher, LegId, Link, Outcome, Shipped};
 use crate::faults::FaultPlan;
 use crate::pool::{default_respawn_budget, RetryPolicy};
-use crate::resilience::{BackoffPolicy, HeartbeatPolicy, HedgePolicy, P2Quantile};
+use crate::resilience::{BackoffPolicy, HeartbeatPolicy, HedgePolicy};
 use obs::{Counter, MetricsRegistry};
 use std::collections::HashMap;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use stoch_eval::backend::{SamplingBackend, StreamJob};
@@ -93,9 +101,8 @@ static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Wire/transport metric handles. Names: `mw.transport.frames_sent`,
 /// `frames_received`, `bytes_sent`, `bytes_received`, `corrupt`,
 /// `reconnects`, `stale`, `unsupported`, `inline_jobs`,
-/// `heartbeat_deaths`, plus the shared fault-tolerance series
-/// `mw.retry.attempts`, `mw.retry.timeouts`, `mw.backend.degraded`,
-/// `mw.hedge.launched`, `mw.hedge.wins`.
+/// `heartbeat_deaths`. The retry, hedge and degradation series belong to
+/// the dispatch loop.
 struct TransportObs {
     frames_sent: Arc<Counter>,
     frames_received: Arc<Counter>,
@@ -107,11 +114,6 @@ struct TransportObs {
     unsupported: Arc<Counter>,
     inline_jobs: Arc<Counter>,
     heartbeat_deaths: Arc<Counter>,
-    retry_attempts: Arc<Counter>,
-    retry_timeouts: Arc<Counter>,
-    degraded: Arc<Counter>,
-    hedge_launched: Arc<Counter>,
-    hedge_wins: Arc<Counter>,
 }
 
 impl TransportObs {
@@ -127,11 +129,6 @@ impl TransportObs {
             unsupported: registry.counter("mw.transport.unsupported"),
             inline_jobs: registry.counter("mw.transport.inline_jobs"),
             heartbeat_deaths: registry.counter("mw.transport.heartbeat_deaths"),
-            retry_attempts: registry.counter("mw.retry.attempts"),
-            retry_timeouts: registry.counter("mw.retry.timeouts"),
-            degraded: registry.counter("mw.backend.degraded"),
-            hedge_launched: registry.counter("mw.hedge.launched"),
-            hedge_wins: registry.counter("mw.hedge.wins"),
         }
     }
 }
@@ -195,7 +192,7 @@ struct Inner {
 pub struct ProcessPool {
     inner: Mutex<Inner>,
     faults: FaultPlan,
-    obs: Option<Arc<TransportObs>>,
+    obs: Option<TransportObs>,
     /// Ping/Pong liveness schedule (`NSX_HEARTBEAT`, DESIGN.md §16).
     heartbeat: HeartbeatPolicy,
     /// Respawn deferral schedule (`NSX_RESPAWN_BACKOFF`, DESIGN.md §16).
@@ -215,7 +212,7 @@ impl ProcessPool {
         registry: Option<&MetricsRegistry>,
     ) -> Self {
         ensure_linked();
-        let obs = registry.map(|r| Arc::new(TransportObs::register(r)));
+        let obs = registry.map(TransportObs::register);
         let mut inner = Inner {
             workers: Vec::with_capacity(n_workers),
             respawn_budget,
@@ -739,42 +736,85 @@ fn socket_path(idx: usize, incarnation: u32) -> PathBuf {
 /// set, otherwise hardware parallelism capped at 8 (processes are heavier
 /// than threads; tests sharing the global pool don't need more).
 pub fn default_process_workers() -> usize {
-    if std::env::var("NSX_WORKERS").is_ok() {
-        crate::backend::default_workers()
-    } else {
-        crate::backend::default_workers().min(8)
+    workers_setting().unwrap_or_else(|| hardware_threads().min(8))
+}
+
+/// The socket link: a ticket is the job's seq plus the slot its result must
+/// echo, and the master waits in [`ProcessPool::collect`].
+impl<S: SampleStream> Link<S> for ProcessPool {
+    type Ticket = (u64, usize);
+
+    const DEFAULT_TIMEOUT: Option<Duration> = Some(DEFAULT_ATTEMPT_TIMEOUT);
+
+    fn ship(&self, slot: usize, dt: f64, stream: &S) -> Shipped<Self::Ticket> {
+        let Some(wire_id) = S::wire_id() else {
+            if let Some(o) = &self.obs {
+                o.inline_jobs.inc();
+            }
+            return Shipped::Unsupported;
+        };
+        let mut w = Writer::new();
+        if stream.save_state(&mut w).is_err() {
+            return Shipped::Unavailable;
+        }
+        match self.submit(wire::encode_job(wire_id, slot as u64, dt, &w.into_bytes())) {
+            Some(seq) => Shipped::Ticket((seq, slot)),
+            None => Shipped::Unavailable,
+        }
+    }
+
+    fn wait(
+        &self,
+        legs: &[(LegId, &Self::Ticket)],
+        max_wait: Duration,
+    ) -> Vec<(LegId, Outcome<S>)> {
+        let seqs: Vec<u64> = legs.iter().map(|(_, (seq, _))| *seq).collect();
+        self.collect(&seqs, max_wait)
+            .into_iter()
+            .filter_map(|(seq, outcome)| {
+                let (id, &(_, slot)) = legs.iter().find(|(_, t)| t.0 == seq)?;
+                let outcome = match outcome {
+                    // An undecodable or misrouted result is a lost copy,
+                    // never a guessed sample.
+                    PollOutcome::Result(payload) => {
+                        decode_stream(&payload, slot).map_or(Outcome::Lost, Outcome::Done)
+                    }
+                    // The worker's registry refused the job; running it on
+                    // this pool will never work.
+                    PollOutcome::Refused(_) => {
+                        if let Some(o) = &self.obs {
+                            o.unsupported.inc();
+                        }
+                        Outcome::Unsupported
+                    }
+                    PollOutcome::Lost => Outcome::Lost,
+                };
+                Some((*id, outcome))
+            })
+            .collect()
+    }
+
+    fn forget(&self, (seq, _): Self::Ticket) {
+        ProcessPool::forget(self, seq);
+    }
+
+    fn supervise(&self) {
+        // Reaping, heartbeats and revival run inside `collect` and `submit`.
+    }
+
+    fn is_failed(&self) -> bool {
+        ProcessPool::is_failed(self)
     }
 }
 
 static SHARED: OnceLock<Arc<ProcessBackend>> = OnceLock::new();
-
-/// One in-flight extension riding the wire.
-struct PendingJob<S> {
-    idx: usize,
-    slot: usize,
-    dt: f64,
-    backup: S,
-    seq: u64,
-    attempt: u32,
-    dispatched: Instant,
-    /// A speculative duplicate dispatched when the primary straggled past
-    /// the hedge threshold: `(its seq, when it shipped)`. First answer
-    /// wins; the loser is forgotten (DESIGN.md §16).
-    hedge: Option<(u64, Instant)>,
-}
 
 /// A [`SamplingBackend`] that runs batches on [`ProcessPool`] workers over
 /// the frame protocol, surviving worker-process loss and network faults
 /// (see module docs).
 pub struct ProcessBackend {
     pool: ProcessPool,
-    retry: RetryPolicy,
-    degraded: AtomicBool,
-    /// Straggler hedging policy (`NSX_HEDGE`, DESIGN.md §16).
-    hedge: HedgePolicy,
-    /// P² estimator over completed round-trip latencies (seconds), feeding
-    /// the hedge threshold.
-    latency: Mutex<P2Quantile>,
+    dispatch: Dispatcher,
 }
 
 impl ProcessBackend {
@@ -798,27 +838,22 @@ impl ProcessBackend {
         respawn_budget: u64,
         registry: Option<&MetricsRegistry>,
     ) -> Self {
-        let hedge = HedgePolicy::from_env();
         ProcessBackend {
             pool: ProcessPool::with_options(n_workers, faults, respawn_budget, registry),
-            retry,
-            degraded: AtomicBool::new(false),
-            hedge,
-            latency: Mutex::new(P2Quantile::new(hedge.quantile)),
+            dispatch: Dispatcher::new(retry, registry),
         }
     }
 
     /// Override the hedging policy (tests and exhibits; production uses
     /// `NSX_HEDGE`). Resets the latency estimator to the new quantile.
     pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = hedge;
-        self.latency = Mutex::new(P2Quantile::new(hedge.quantile));
+        self.dispatch.set_hedge(hedge);
         self
     }
 
     /// The backend's hedging policy.
     pub fn hedge_policy(&self) -> HedgePolicy {
-        self.hedge
+        self.dispatch.hedge_policy()
     }
 
     /// Override the pool's heartbeat schedule (tests and exhibits;
@@ -849,322 +884,13 @@ impl ProcessBackend {
 
     /// The backend's retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    fn obs(&self) -> Option<&Arc<TransportObs>> {
-        self.pool.obs.as_ref()
-    }
-
-    fn note_degraded(&self) {
-        if !self.degraded.swap(true, Ordering::SeqCst) {
-            if let Some(o) = self.obs() {
-                o.degraded.inc();
-            }
-        }
-    }
-
-    /// Feed one completed round-trip latency to the hedge estimator.
-    fn observe_latency(&self, d: Duration) {
-        if !self.hedge.enabled {
-            return;
-        }
-        let mut est = self.latency.lock().unwrap_or_else(|e| e.into_inner());
-        est.observe(d.as_secs_f64());
-    }
-
-    /// Current in-flight latency beyond which a job should be hedged, if
-    /// hedging is active and warmed up.
-    fn hedge_after(&self) -> Option<Duration> {
-        if !self.hedge.enabled {
-            return None;
-        }
-        let est = self.latency.lock().unwrap_or_else(|e| e.into_inner());
-        self.hedge.hedge_after(est.count(), est.estimate())
-    }
-
-    fn extend_inline<S: SampleStream>(mut jobs: Vec<StreamJob<S>>) -> Vec<StreamJob<S>> {
-        for job in &mut jobs {
-            job.stream.extend(job.dt);
-        }
-        jobs
-    }
-
-    /// Serialize and dispatch one job; `None` (with the degraded flag set)
-    /// when the pool cannot take it.
-    fn dispatch<S: SampleStream>(
-        &self,
-        wire_id: &str,
-        slot: usize,
-        dt: f64,
-        stream: &S,
-    ) -> Option<u64> {
-        let mut w = Writer::new();
-        if stream.save_state(&mut w).is_err() {
-            return None;
-        }
-        let payload = wire::encode_job(wire_id, slot as u64, dt, &w.into_bytes());
-        self.pool.submit(payload)
-    }
-
-    /// Complete `p` inline from its backup.
-    fn finish_inline<S: SampleStream>(p: PendingJob<S>, out: &mut [Option<StreamJob<S>>]) {
-        let mut stream = p.backup;
-        stream.extend(p.dt);
-        out[p.idx] = Some(StreamJob {
-            slot: p.slot,
-            dt: p.dt,
-            stream,
-        });
-    }
-
-    /// One leg of a (possibly hedged) job died or returned garbage. While
-    /// the other leg is still in flight, keep waiting on it alone: a dead
-    /// hedge costs nothing, and a dead primary *promotes* the hedge to
-    /// primary without burning a retry attempt (the hedge carries the same
-    /// stream clone, so the answer is the same bits either way). With no
-    /// live leg left, the normal retry path applies.
-    fn settle_lost_leg<S: SampleStream>(
-        &self,
-        wire_id: &str,
-        mut p: PendingJob<S>,
-        from_hedge: bool,
-        pending: &mut HashMap<u64, PendingJob<S>>,
-        out: &mut [Option<StreamJob<S>>],
-    ) {
-        if from_hedge {
-            p.hedge = None;
-            pending.insert(p.seq, p);
-        } else if let Some((h, shipped)) = p.hedge.take() {
-            p.seq = h;
-            p.dispatched = shipped;
-            pending.insert(h, p);
-        } else {
-            self.retry_or_inline(wire_id, p, pending, out);
-        }
-    }
-
-    /// Re-dispatch a lost/expired job if attempts and workers remain,
-    /// otherwise finish it inline.
-    fn retry_or_inline<S: SampleStream>(
-        &self,
-        wire_id: &str,
-        p: PendingJob<S>,
-        pending: &mut HashMap<u64, PendingJob<S>>,
-        out: &mut [Option<StreamJob<S>>],
-    ) {
-        let next_attempt = p.attempt + 1;
-        if next_attempt <= self.retry.max_attempts && !self.pool.is_failed() {
-            if let Some(o) = self.obs() {
-                o.retry_attempts.inc();
-            }
-            let backoff = self.retry.backoff_before(next_attempt);
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
-            if let Some(seq) = self.dispatch(wire_id, p.slot, p.dt, &p.backup) {
-                pending.insert(
-                    seq,
-                    PendingJob {
-                        seq,
-                        attempt: next_attempt,
-                        dispatched: Instant::now(),
-                        hedge: None,
-                        ..p
-                    },
-                );
-                return;
-            }
-            self.note_degraded();
-        }
-        Self::finish_inline(p, out);
+        self.dispatch.retry_policy()
     }
 }
 
 impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
     fn extend_batch(&self, jobs: Vec<StreamJob<S>>) -> Vec<StreamJob<S>> {
-        // Streams without a wire identity cannot be shipped: execute
-        // in-process. This is a capability limit of the stream type, not a
-        // transport failure — no degradation note.
-        let Some(wire_id) = S::wire_id() else {
-            if let Some(o) = self.obs() {
-                o.inline_jobs.add(jobs.len() as u64);
-            }
-            return Self::extend_inline(jobs);
-        };
-        if self.degraded.load(Ordering::SeqCst) || self.pool.is_failed() {
-            self.note_degraded();
-            return Self::extend_inline(jobs);
-        }
-        let n = jobs.len();
-        let mut out: Vec<Option<StreamJob<S>>> = (0..n).map(|_| None).collect();
-        let mut pending: HashMap<u64, PendingJob<S>> = HashMap::with_capacity(n);
-        for (idx, job) in jobs.into_iter().enumerate() {
-            match self.dispatch(wire_id, job.slot, job.dt, &job.stream) {
-                Some(seq) => {
-                    pending.insert(
-                        seq,
-                        PendingJob {
-                            idx,
-                            slot: job.slot,
-                            dt: job.dt,
-                            backup: job.stream,
-                            seq,
-                            attempt: 1,
-                            dispatched: Instant::now(),
-                            hedge: None,
-                        },
-                    );
-                }
-                None => {
-                    self.note_degraded();
-                    let mut stream = job.stream;
-                    stream.extend(job.dt);
-                    out[idx] = Some(StreamJob {
-                        slot: job.slot,
-                        dt: job.dt,
-                        stream,
-                    });
-                }
-            }
-        }
-        let limit = self.retry.timeout.unwrap_or(DEFAULT_ATTEMPT_TIMEOUT);
-        while !pending.is_empty() {
-            let interested: Vec<u64> = pending
-                .keys()
-                .copied()
-                .chain(pending.values().filter_map(|p| p.hedge.map(|(s, _)| s)))
-                .collect();
-            for (seq, outcome) in self.pool.collect(&interested, Duration::from_millis(20)) {
-                // Resolve the seq to its pending entry: primary seqs are the
-                // map keys; hedge seqs need a scan (batches are small).
-                let key = if pending.contains_key(&seq) {
-                    seq
-                } else {
-                    match pending
-                        .iter()
-                        .find(|(_, p)| p.hedge.is_some_and(|(s, _)| s == seq))
-                        .map(|(k, _)| *k)
-                    {
-                        Some(k) => k,
-                        None => continue,
-                    }
-                };
-                let Some(p) = pending.remove(&key) else {
-                    continue;
-                };
-                let from_hedge = seq != p.seq;
-                match outcome {
-                    PollOutcome::Result(payload) => {
-                        match decode_stream::<S>(&payload, p.slot) {
-                            Some(stream) => {
-                                // First answer wins; the loser's eventual
-                                // reply is forgotten and counted stale.
-                                // Either way the stream bits are those the
-                                // backup would have produced — hedging can
-                                // only change *when*, never *what*.
-                                if from_hedge {
-                                    if let Some(o) = self.obs() {
-                                        o.hedge_wins.inc();
-                                    }
-                                    self.pool.forget(p.seq);
-                                    if let Some((_, shipped)) = p.hedge {
-                                        self.observe_latency(shipped.elapsed());
-                                    }
-                                } else {
-                                    if let Some((h, _)) = p.hedge {
-                                        self.pool.forget(h);
-                                    }
-                                    self.observe_latency(p.dispatched.elapsed());
-                                }
-                                out[p.idx] = Some(StreamJob {
-                                    slot: p.slot,
-                                    dt: p.dt,
-                                    stream,
-                                });
-                            }
-                            // An undecodable or misrouted result is treated
-                            // as a lost attempt, never a guessed sample.
-                            None => {
-                                self.settle_lost_leg(wire_id, p, from_hedge, &mut pending, &mut out)
-                            }
-                        }
-                    }
-                    PollOutcome::Refused(_) => {
-                        // The worker's registry refused the job; running it
-                        // on this pool will never work. Finish inline.
-                        if let Some(o) = self.obs() {
-                            o.unsupported.inc();
-                        }
-                        if from_hedge {
-                            self.pool.forget(p.seq);
-                        } else if let Some((h, _)) = p.hedge {
-                            self.pool.forget(h);
-                        }
-                        Self::finish_inline(p, &mut out);
-                    }
-                    PollOutcome::Lost => {
-                        self.settle_lost_leg(wire_id, p, from_hedge, &mut pending, &mut out)
-                    }
-                }
-            }
-            // Per-attempt deadlines: abandon expired seqs and re-dispatch.
-            // A hedged job's clock is its primary dispatch; expiry abandons
-            // both legs (the hedge shipped even later).
-            let expired: Vec<u64> = pending
-                .values()
-                .filter(|p| p.dispatched.elapsed() >= limit)
-                .map(|p| p.seq)
-                .collect();
-            for seq in expired {
-                let Some(p) = pending.remove(&seq) else {
-                    continue;
-                };
-                if let Some(o) = self.obs() {
-                    o.retry_timeouts.inc();
-                }
-                self.pool.forget(seq);
-                if let Some((h, _)) = p.hedge {
-                    self.pool.forget(h);
-                }
-                self.retry_or_inline(wire_id, p, &mut pending, &mut out);
-            }
-            // Straggler hedging (DESIGN.md §16): primaries in flight past
-            // the quantile-tracked threshold get a speculative duplicate of
-            // the same stream clone on another worker.
-            if let Some(after) = self.hedge_after() {
-                let candidates: Vec<u64> = pending
-                    .values()
-                    .filter(|p| p.hedge.is_none() && p.dispatched.elapsed() >= after)
-                    .map(|p| p.seq)
-                    .collect();
-                for seq in candidates {
-                    let Some((slot, dt)) = pending.get(&seq).map(|p| (p.slot, p.dt)) else {
-                        continue;
-                    };
-                    let hseq = {
-                        let p = &pending[&seq];
-                        self.dispatch(wire_id, slot, dt, &p.backup)
-                    };
-                    if let Some(hseq) = hseq {
-                        if let Some(o) = self.obs() {
-                            o.hedge_launched.inc();
-                        }
-                        if let Some(p) = pending.get_mut(&seq) {
-                            p.hedge = Some((hseq, Instant::now()));
-                        }
-                    }
-                }
-            }
-        }
-        out.into_iter()
-            .map(|o| {
-                o.unwrap_or_else(|| {
-                    // Unreachable: every branch above fills its slot.
-                    panic!("process backend dropped a batch slot")
-                })
-            })
-            .collect()
+        self.dispatch.extend_batch(&self.pool, jobs)
     }
 
     fn name(&self) -> &'static str {
@@ -1172,7 +898,7 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ProcessBackend {
     }
 
     fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst) || self.pool.is_failed()
+        self.dispatch.degraded() || self.pool.is_failed()
     }
 }
 
@@ -1190,138 +916,14 @@ fn decode_stream<S: SampleStream>(payload: &[u8], slot: usize) -> Option<S> {
 
 #[cfg(test)]
 mod tests {
+    // Behaviour both backends share is covered by the conformance suite in
+    // `dispatch.rs`; the heartbeat and respawn backoff live only here.
     use super::*;
+    use crate::dispatch::tests::{assert_batches_identical, jobs_at, Stream};
     use stoch_eval::backend::SerialBackend;
     use stoch_eval::functions::Rosenbrock;
     use stoch_eval::noise::ConstantNoise;
-    use stoch_eval::objective::StochasticObjective;
     use stoch_eval::sampler::Noisy;
-
-    type Stream = <Noisy<Rosenbrock, ConstantNoise> as StochasticObjective>::Stream;
-
-    fn jobs_at(obj: &Noisy<Rosenbrock, ConstantNoise>, n: usize) -> Vec<StreamJob<Stream>> {
-        (0..n)
-            .map(|i| StreamJob {
-                slot: i,
-                dt: 1.0 + i as f64,
-                stream: obj.open(&[i as f64, 0.5], 100 + i as u64),
-            })
-            .collect()
-    }
-
-    fn assert_batches_identical(a: &[StreamJob<Stream>], b: &[StreamJob<Stream>]) {
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(x.slot, y.slot);
-            assert_eq!(x.dt, y.dt);
-            let (ea, eb) = (x.stream.estimate(), y.stream.estimate());
-            assert_eq!(ea.value.to_bits(), eb.value.to_bits());
-            assert_eq!(ea.std_err.to_bits(), eb.std_err.to_bits());
-            assert_eq!(ea.time.to_bits(), eb.time.to_bits());
-        }
-    }
-
-    #[test]
-    fn process_backend_matches_serial_bit_for_bit() {
-        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(5.0));
-        let serial = SerialBackend.extend_batch(jobs_at(&obj, 6));
-        let backend = ProcessBackend::with_options(
-            2,
-            FaultPlan::none(),
-            RetryPolicy::default(),
-            default_respawn_budget(2),
-            None,
-        );
-        let procd = backend.extend_batch(jobs_at(&obj, 6));
-        assert_batches_identical(&serial, &procd);
-        assert!(!SamplingBackend::<Stream>::degraded(&backend));
-    }
-
-    #[test]
-    fn worker_process_death_is_survived_bit_for_bit() {
-        let reg = MetricsRegistry::new();
-        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(3.0));
-        let serial = SerialBackend.extend_batch(jobs_at(&obj, 10));
-        let backend = ProcessBackend::with_options(
-            2,
-            FaultPlan::none().kill(0, 1),
-            RetryPolicy::default(),
-            default_respawn_budget(2),
-            Some(&reg),
-        );
-        let procd = backend.extend_batch(jobs_at(&obj, 10));
-        assert_batches_identical(&serial, &procd);
-        assert!(!SamplingBackend::<Stream>::degraded(&backend));
-        assert!(reg.counter("mw.transport.reconnects").get() >= 1);
-    }
-
-    #[test]
-    fn dropped_frames_are_retried_bit_for_bit() {
-        let reg = MetricsRegistry::new();
-        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
-        let serial = SerialBackend.extend_batch(jobs_at(&obj, 6));
-        // Outbound job frame 1 to worker 0 vanishes; the per-attempt
-        // timeout recovers it from the master-side backup.
-        let backend = ProcessBackend::with_options(
-            2,
-            FaultPlan::none().net_drop(0, 1),
-            RetryPolicy {
-                timeout: Some(Duration::from_millis(300)),
-                ..RetryPolicy::default()
-            },
-            default_respawn_budget(2),
-            Some(&reg),
-        );
-        let procd = backend.extend_batch(jobs_at(&obj, 6));
-        assert_batches_identical(&serial, &procd);
-        assert!(reg.counter("mw.retry.timeouts").get() >= 1);
-        assert!(!SamplingBackend::<Stream>::degraded(&backend));
-    }
-
-    #[test]
-    fn no_spawnable_workers_degrades_to_inline() {
-        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
-        let serial = SerialBackend.extend_batch(jobs_at(&obj, 4));
-        // Kill the only worker before any job with no respawn budget: the
-        // pool fails and the batch must complete inline, identically.
-        let backend = ProcessBackend::with_options(
-            1,
-            FaultPlan::none().kill(0, 0),
-            RetryPolicy::default(),
-            0,
-            None,
-        );
-        let procd = backend.extend_batch(jobs_at(&obj, 4));
-        assert_batches_identical(&serial, &procd);
-        assert!(SamplingBackend::<Stream>::degraded(&backend));
-    }
-
-    #[test]
-    fn hedged_dispatch_beats_a_straggler_bit_for_bit() {
-        let reg = MetricsRegistry::new();
-        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(4.0));
-        let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
-        // Worker 0 sleeps 150 ms before every job (a permanent straggler);
-        // with an aggressive hedge policy its jobs are speculatively
-        // re-dispatched and the batch still matches serial bit-for-bit.
-        let backend = ProcessBackend::with_options(
-            2,
-            FaultPlan::none().delay(0, 0, 150),
-            RetryPolicy::default(),
-            default_respawn_budget(2),
-            Some(&reg),
-        )
-        .with_hedge(HedgePolicy::parse("on:q=0.5:factor=1:min_ms=10:warmup=3").unwrap());
-        for _ in 0..3 {
-            let procd = backend.extend_batch(jobs_at(&obj, 8));
-            assert_batches_identical(&SerialBackend.extend_batch(jobs_at(&obj, 8)), &procd);
-        }
-        let procd = backend.extend_batch(jobs_at(&obj, 8));
-        assert_batches_identical(&serial, &procd);
-        assert!(!SamplingBackend::<Stream>::degraded(&backend));
-        assert!(reg.counter("mw.hedge.launched").get() >= 1);
-        assert!(reg.counter("mw.hedge.wins").get() >= 1);
-    }
 
     #[test]
     fn heartbeat_buries_a_wedged_worker_and_recovers() {
@@ -1375,13 +977,5 @@ mod tests {
         let payload = wire::encode_job("gaussian.v1", 0, 1.0, &w.into_bytes());
         assert!(pool.submit(payload).is_some());
         assert_eq!(pool.alive_workers(), 1);
-    }
-
-    #[test]
-    fn shared_backend_is_one_pool() {
-        let a = ProcessBackend::shared();
-        let b = ProcessBackend::shared();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(a.pool().n_workers() >= 1);
     }
 }
