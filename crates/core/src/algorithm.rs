@@ -1,18 +1,123 @@
-//! A unified front door over the simplex-family algorithms, used by the
-//! experiment harness to sweep methods homogeneously.
+//! The run/resume front door shared by the simplex-family methods, and a
+//! unified enum over them used by the experiment harness to sweep methods
+//! homogeneously.
+//!
+//! Every method is a [`SimplexConfig`] plus the [`Driver`] its
+//! [`RunSession`] runs per step; [`Method`] writes `run`, `resume` and
+//! their metrics forms once over that pair.
 
 use crate::anderson::AndersonNm;
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{self, CheckpointError};
+use crate::config::SimplexConfig;
 use crate::det::Det;
+use crate::metrics::EngineMetrics;
 use crate::mn::MaxNoise;
 use crate::pc::PointComparison;
 use crate::pcmn::PcMn;
-use crate::result::RunResult;
+use crate::result::{RunNote, RunResult};
+use crate::session::{Driver, RunSession};
 use crate::termination::Termination;
 use obs::MetricsRegistry;
 use std::path::Path;
 use stoch_eval::clock::TimeMode;
 use stoch_eval::objective::StochasticObjective;
+
+/// A simplex-family method: a configuration and the decision procedure a
+/// [`RunSession`] runs each step. The provided methods are the one way to
+/// run a method to completion or resume it from a checkpoint.
+pub trait Method {
+    /// Coefficients, sampling policy, backend and checkpoint settings.
+    fn config(&self) -> &SimplexConfig;
+
+    /// The decision procedure (gate and iteration body) the session runs.
+    fn driver(&self) -> Driver;
+
+    /// Optimize `objective` from the initial simplex `init`.
+    fn run<F: StochasticObjective>(
+        &self,
+        objective: &F,
+        init: Vec<Vec<f64>>,
+        term: Termination,
+        mode: TimeMode,
+        seed: u64,
+    ) -> RunResult {
+        self.run_with_metrics(objective, init, term, mode, seed, None)
+    }
+
+    /// [`run`](Self::run) with optional run accounting: when `registry` is
+    /// given, engine step/trial/round tallies, MN/Anderson gate statistics
+    /// and PC per-site decision counters are recorded into it and
+    /// summarized in [`RunResult::metrics`].
+    fn run_with_metrics<F: StochasticObjective>(
+        &self,
+        objective: &F,
+        init: Vec<Vec<f64>>,
+        term: Termination,
+        mode: TimeMode,
+        seed: u64,
+        registry: Option<&MetricsRegistry>,
+    ) -> RunResult {
+        let mut session = RunSession::new(
+            objective,
+            init,
+            self.config().clone(),
+            term,
+            mode,
+            seed,
+            self.driver(),
+        );
+        if let Some(reg) = registry {
+            session.attach_metrics(EngineMetrics::register(reg));
+        }
+        session.run_to_completion()
+    }
+
+    /// Resume a checkpointed run of this method from `path` (with `.1`
+    /// retention fallback) and continue it to termination.
+    ///
+    /// The restored run is bit-identical to one that never stopped: same
+    /// best point, values, iteration counts, trace, and accounting. Every
+    /// gate is a pure function of the persisted state (the vertex estimates
+    /// and contraction level), so the run re-enters its loop exactly where
+    /// the original would have been. `term_override` replaces the persisted
+    /// termination criteria (pass the full-run criteria when resuming a
+    /// deliberately truncated run); `None` keeps what was persisted.
+    fn resume<F: StochasticObjective>(
+        &self,
+        objective: &F,
+        path: &Path,
+        term_override: Option<Termination>,
+    ) -> Result<RunResult, CheckpointError> {
+        self.resume_with_metrics(objective, path, term_override, None)
+    }
+
+    /// [`resume`](Self::resume) with optional run accounting. Persisted
+    /// accounting is replayed into `registry` first, so the final summary
+    /// matches an uninterrupted run's.
+    fn resume_with_metrics<F: StochasticObjective>(
+        &self,
+        objective: &F,
+        path: &Path,
+        term_override: Option<Termination>,
+        registry: Option<&MetricsRegistry>,
+    ) -> Result<RunResult, CheckpointError> {
+        let (payload, from) = checkpoint::load_with_fallback(path)?;
+        let mut session = RunSession::resume(
+            objective,
+            self.config().clone(),
+            &payload,
+            term_override,
+            self.driver(),
+        )?;
+        if from != path {
+            session.record_note(RunNote::CheckpointFellBack);
+        }
+        if let Some(reg) = registry {
+            session.attach_metrics(EngineMetrics::register(reg));
+        }
+        Ok(session.run_to_completion())
+    }
+}
 
 /// Any of the five simplex-family methods the paper studies.
 #[derive(Debug, Clone)]
@@ -44,85 +149,25 @@ impl SimplexMethod {
         }
     }
 
-    /// Run the method on `objective` from the initial simplex `init`.
-    pub fn run<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-    ) -> RunResult {
-        self.run_with_metrics(objective, init, term, mode, seed, None)
-    }
-
-    /// [`run`](Self::run) with optional run accounting: when `registry` is
-    /// given, the method records its decision/gate/engine tallies into it
-    /// and summarizes them in [`RunResult::metrics`].
-    pub fn run_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> RunResult {
+    /// The wrapped method's configuration and driver.
+    fn parts(&self) -> (&SimplexConfig, Driver) {
         match self {
-            SimplexMethod::Det(m) => {
-                m.run_with_metrics(objective, init, term, mode, seed, registry)
-            }
-            SimplexMethod::Mn(m) => m.run_with_metrics(objective, init, term, mode, seed, registry),
-            SimplexMethod::Pc(m) => m.run_with_metrics(objective, init, term, mode, seed, registry),
-            SimplexMethod::PcMn(m) => {
-                m.run_with_metrics(objective, init, term, mode, seed, registry)
-            }
-            SimplexMethod::Anderson(m) => {
-                m.run_with_metrics(objective, init, term, mode, seed, registry)
-            }
+            SimplexMethod::Det(m) => (&m.cfg, m.driver()),
+            SimplexMethod::Mn(m) => (&m.cfg, m.driver()),
+            SimplexMethod::Pc(m) => (&m.cfg, m.driver()),
+            SimplexMethod::PcMn(m) => (&m.cfg, m.driver()),
+            SimplexMethod::Anderson(m) => (&m.cfg, m.driver()),
         }
     }
+}
 
-    /// Resume a checkpointed run of this method from `path` (with `.1`
-    /// retention fallback) and continue it to termination.
-    ///
-    /// The restored run is bit-identical to one that never stopped: same
-    /// best point, values, iteration counts, trace, and accounting.
-    /// `term_override` replaces the persisted termination criteria (pass the
-    /// full-run criteria when resuming a deliberately truncated run);
-    /// `None` keeps what was persisted.
-    pub fn resume<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-    ) -> Result<RunResult, CheckpointError> {
-        self.resume_with_metrics(objective, path, term_override, None)
+impl Method for SimplexMethod {
+    fn config(&self) -> &SimplexConfig {
+        self.parts().0
     }
 
-    /// [`resume`](Self::resume) with optional run accounting. Persisted
-    /// accounting is replayed into `registry` first, so the final summary
-    /// matches an uninterrupted run's.
-    pub fn resume_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, CheckpointError> {
-        match self {
-            SimplexMethod::Det(m) => {
-                m.resume_with_metrics(objective, path, term_override, registry)
-            }
-            SimplexMethod::Mn(m) => m.resume_with_metrics(objective, path, term_override, registry),
-            SimplexMethod::Pc(m) => m.resume_with_metrics(objective, path, term_override, registry),
-            SimplexMethod::PcMn(m) => {
-                m.resume_with_metrics(objective, path, term_override, registry)
-            }
-            SimplexMethod::Anderson(m) => {
-                m.resume_with_metrics(objective, path, term_override, registry)
-            }
-        }
+    fn driver(&self) -> Driver {
+        self.parts().1
     }
 }
 

@@ -16,17 +16,14 @@
 //!   acceptance rule is a simplified best-point comparison, documented here
 //!   rather than claiming fidelity to the original.
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::algorithm::Method;
 use crate::classic::MAX_WAIT_ROUNDS;
 use crate::config::{AndersonParams, SimplexConfig};
 use crate::engine::Engine;
-use crate::metrics::EngineMetrics;
 use crate::result::RunResult;
-use crate::session::{Driver, RunSession};
+use crate::session::Driver;
 use crate::termination::{StopReason, Termination};
 use crate::trace::{StepKind, Trace, TracePoint};
-use obs::MetricsRegistry;
-use std::path::Path;
 use stoch_eval::clock::{TimeMode, VirtualClock};
 use stoch_eval::objective::{SampleStream, StochasticObjective};
 use stoch_eval::rng::SeedSequence;
@@ -58,7 +55,8 @@ impl AndersonNm {
     /// extend every vertex until the noisiest one is below the level-scaled
     /// ceiling. Trials then receive one sampling round before comparison,
     /// exactly as in MN (Algorithm 2): both criteria gate only the vertex
-    /// noise, which keeps the Table 3.2 comparison fair.
+    /// noise, which keeps the Table 3.2 comparison fair. The loop is
+    /// recorded under the MN gate metrics, since it plays the same role.
     pub(crate) fn wait<F: StochasticObjective>(
         params: AndersonParams,
         eng: &mut Engine<F>,
@@ -98,84 +96,15 @@ impl AndersonNm {
             rounds += 1;
         }
     }
+}
 
-    /// Optimize `objective` from the initial simplex `init`.
-    pub fn run<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-    ) -> RunResult {
-        self.run_with_metrics(objective, init, term, mode, seed, None)
+impl Method for AndersonNm {
+    fn config(&self) -> &SimplexConfig {
+        &self.cfg
     }
 
-    /// [`run`](Self::run) with optional run accounting (engine tallies; the
-    /// Eq. 2.4 wait loop is recorded under the MN gate metrics since it
-    /// plays the same role).
-    pub fn run_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> RunResult {
-        let mut session = RunSession::new(
-            objective,
-            init,
-            self.cfg.clone(),
-            term,
-            mode,
-            seed,
-            Driver::Anderson(self.params),
-        );
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        session.run_to_completion()
-    }
-
-    /// Resume a checkpointed Anderson-criterion run (see
-    /// [`SimplexMethod::resume`](crate::algorithm::SimplexMethod::resume)).
-    ///
-    /// The Eq. 2.4 wait is a pure function of the current vertex estimates
-    /// and the persisted contraction level, so state permits an exact
-    /// resume.
-    pub fn resume<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-    ) -> Result<RunResult, CheckpointError> {
-        self.resume_with_metrics(objective, path, term_override, None)
-    }
-
-    /// [`resume`](Self::resume) with optional run accounting.
-    pub fn resume_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, CheckpointError> {
-        let (payload, from) = checkpoint::load_with_fallback(path)?;
-        let mut session = RunSession::resume(
-            objective,
-            self.cfg.clone(),
-            &payload,
-            term_override,
-            Driver::Anderson(self.params),
-        )?;
-        if from != path {
-            session.record_note(crate::result::RunNote::CheckpointFellBack);
-        }
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        Ok(session.run_to_completion())
+    fn driver(&self) -> Driver {
+        Driver::Anderson(self.params)
     }
 }
 

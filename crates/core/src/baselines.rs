@@ -6,7 +6,7 @@
 //! the simplex family under identical noise:
 //!
 //! * [`Spsa`] — Spall's simultaneous-perturbation stochastic approximation
-//!   (the paper cites Spall [25][26] as the stochastic-approximation line).
+//!   (the paper cites Spall \[25\]\[26\] as the stochastic-approximation line).
 //! * [`SimulatedAnnealing`] — Metropolis search on noisy estimates (§1.3.3.4).
 //! * [`RandomSearch`] — uniform random sampling of the box, the null model.
 

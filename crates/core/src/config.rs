@@ -9,49 +9,34 @@ use mw_framework::transport::process::{default_process_workers, ProcessBackend};
 use mw_framework::FaultPlan;
 use std::sync::Arc;
 use stoch_eval::backend::{SamplingBackend, SerialBackend};
-use stoch_eval::objective::{SampleStream, StochasticObjective};
+use stoch_eval::objective::SampleStream;
 use stoch_eval::stats::{EstimatorChoice, TailReport};
 
-/// A configuration rejected at validation time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A run specification refused before any sampling starts. These are the
+/// checks [`Engine::new_with_backend`](crate::engine::Engine::new_with_backend)
+/// asserts, in the fallible form a service returns at admission (see
+/// [`SimplexConfig::validate_start`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
-    /// The objective's streams dispatch their sampling onto the same worker
-    /// pool the configured backend fans batches over. Batch jobs would then
-    /// submit to their own pool from inside workers and deadlock once every
-    /// worker is occupied; the combination is refused instead. Use a serial
-    /// backend with a pool-dispatching objective, or drive the pool through
-    /// the batch backend alone.
-    NestedDispatch,
+    /// The initial simplex is not `d + 1` vertices of dimension `d`.
+    InitialSimplex(String),
+    /// [`Coefficients::validate`] refused the Nelder–Mead coefficients.
+    Coefficients(String),
+    /// [`SamplingPolicy::validate`] refused the sampling policy.
+    Sampling(String),
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::NestedDispatch => write!(
-                f,
-                "objective and sampling backend dispatch on the same worker pool \
-                 (nested dispatch would deadlock); keep the engine on a serial \
-                 backend when the objective ships its own sampling to a pool"
-            ),
+            ConfigError::InitialSimplex(e) => write!(f, "invalid initial simplex: {e}"),
+            ConfigError::Coefficients(e) => write!(f, "invalid coefficients: {e}"),
+            ConfigError::Sampling(e) => write!(f, "invalid sampling policy: {e}"),
         }
     }
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Reject the deadlocking combination of a batch backend and an objective
-/// dispatching on one shared worker pool (see
-/// [`SimplexConfig::validate_dispatch`]). Either side without a pool — or
-/// two distinct pools — passes.
-pub fn check_nested_dispatch<F: StochasticObjective>(
-    backend: &dyn SamplingBackend<F::Stream>,
-    objective: &F,
-) -> Result<(), ConfigError> {
-    match (backend.pool_token(), objective.pool_token()) {
-        (Some(b), Some(o)) if b == o => Err(ConfigError::NestedDispatch),
-        _ => Ok(()),
-    }
-}
 
 /// Which [`SamplingBackend`] executes each sampling round (DESIGN.md §8).
 ///
@@ -82,15 +67,25 @@ impl Default for BackendChoice {
 
 impl BackendChoice {
     /// Read the `NSX_BACKEND` selection from the environment (`Serial`
-    /// when unset or unparseable).
+    /// when unset). Panics naming the knob on a value [`parse`](Self::parse)
+    /// rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_BACKEND")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(BackendChoice::Serial)
+        Self::from_setting(std::env::var("NSX_BACKEND").ok().as_deref())
     }
 
-    /// Parse a selection string: `serial`, `threaded`, or `threaded:<N>`.
+    /// [`from_env`](Self::from_env) over an already-read value.
+    fn from_setting(value: Option<&str>) -> Self {
+        value.map_or(BackendChoice::Serial, |v| {
+            Self::parse(v).unwrap_or_else(|| {
+                panic!(
+                    "invalid NSX_BACKEND='{v}': expected serial|threaded|threaded:<N> with N >= 1"
+                )
+            })
+        })
+    }
+
+    /// Parse a selection string: `serial`, `threaded`, or `threaded:<N>`
+    /// with `N >= 1` (`threaded` alone selects the shared pool).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "serial" => Some(BackendChoice::Serial),
@@ -98,6 +93,7 @@ impl BackendChoice {
             _ => s
                 .strip_prefix("threaded:")
                 .and_then(|n| n.parse().ok())
+                .filter(|&workers: &usize| workers >= 1)
                 .map(|workers| BackendChoice::Threaded { workers }),
         }
     }
@@ -144,12 +140,18 @@ pub enum TransportChoice {
 
 impl TransportChoice {
     /// Read the `NSX_TRANSPORT` selection from the environment (`Inproc`
-    /// when unset or unparseable).
+    /// when unset). Panics naming the knob on a value
+    /// [`parse`](Self::parse) rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_TRANSPORT")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(TransportChoice::Inproc)
+        Self::from_setting(std::env::var("NSX_TRANSPORT").ok().as_deref())
+    }
+
+    /// [`from_env`](Self::from_env) over an already-read value.
+    fn from_setting(value: Option<&str>) -> Self {
+        value.map_or(TransportChoice::Inproc, |v| {
+            Self::parse(v)
+                .unwrap_or_else(|| panic!("invalid NSX_TRANSPORT='{v}': expected inproc|process"))
+        })
     }
 
     /// Parse a selection string: `inproc` or `process`.
@@ -395,10 +397,10 @@ pub struct SimplexConfig {
     /// Durable checkpointing: when set, the engine atomically snapshots the
     /// complete run state to [`CheckpointConfig::path`] every
     /// [`CheckpointConfig::every`] iterations, and
-    /// [`SimplexMethod::resume`](crate::algorithm::SimplexMethod::resume)
-    /// reconstructs the run bit-identically. Defaults from the
-    /// `NSX_CHECKPOINT` environment variable (`path[:every=N][:keep=0|1]`),
-    /// `None` when unset.
+    /// [`Method::resume`](crate::algorithm::Method::resume) reconstructs
+    /// the run bit-identically. Defaults from the `NSX_CHECKPOINT`
+    /// environment variable (`path[:every=N][:keep=0|1]`), `None` when
+    /// unset.
     pub checkpoint: Option<CheckpointConfig>,
     /// What to do when a stream ingests a non-finite sample.
     pub nonfinite: NonFinitePolicy,
@@ -445,22 +447,27 @@ impl SimplexConfig {
             || self.retry != RetryPolicy::default()
     }
 
-    /// Validate that driving `objective` with the backend this configuration
-    /// builds cannot deadlock on a shared worker pool.
-    ///
-    /// The failure mode (previously only a documented footgun, DESIGN.md §8):
-    /// an objective whose streams dispatch their own `extend` onto a pool —
-    /// e.g. `mw-framework`'s `MwObjective` — driven through a batch backend
-    /// over the *same* pool submits jobs from inside worker jobs; once every
-    /// worker is occupied by a batch job, nobody can make progress. Both
-    /// sides now expose an opaque pool token, so the collision is detected
-    /// here, at configuration-validation time, and reported as
-    /// [`ConfigError::NestedDispatch`] instead of wedging at runtime.
-    pub fn validate_dispatch<F: StochasticObjective>(
-        &self,
-        objective: &F,
-    ) -> Result<(), ConfigError> {
-        check_nested_dispatch(self.build_backend::<F::Stream>().as_ref(), objective)
+    /// Check a fresh run's start: `init` must be `dim + 1` vertices of
+    /// dimension `dim`, and the coefficients and sampling policy must
+    /// validate.
+    pub fn validate_start(&self, dim: usize, init: &[Vec<f64>]) -> Result<(), ConfigError> {
+        if init.len() != dim + 1 {
+            return Err(ConfigError::InitialSimplex(format!(
+                "expected d+1 = {} vertices, got {}",
+                dim + 1,
+                init.len()
+            )));
+        }
+        if let Some((i, v)) = init.iter().enumerate().find(|(_, v)| v.len() != dim) {
+            return Err(ConfigError::InitialSimplex(format!(
+                "vertex {i} has {} coordinates, expected d = {dim}",
+                v.len()
+            )));
+        }
+        self.coefficients
+            .validate()
+            .map_err(ConfigError::Coefficients)?;
+        self.sampling.validate().map_err(ConfigError::Sampling)
     }
 
     /// Instantiate the sampling backend for this configuration.
@@ -682,8 +689,76 @@ mod tests {
         );
         assert_eq!(BackendChoice::parse("frobnicate"), None);
         assert_eq!(BackendChoice::parse("threaded:x"), None);
+        assert_eq!(BackendChoice::parse("threaded:0"), None);
         assert_eq!(BackendChoice::Serial.label(), "serial");
         assert_eq!(BackendChoice::Threaded { workers: 2 }.label(), "threaded");
+    }
+
+    #[test]
+    fn backend_setting_is_serial_when_unset_and_parsed_when_set() {
+        assert_eq!(BackendChoice::from_setting(None), BackendChoice::Serial);
+        assert_eq!(
+            BackendChoice::from_setting(Some("threaded:3")),
+            BackendChoice::Threaded { workers: 3 }
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid NSX_BACKEND='threaded:0': expected serial|threaded|threaded:<N> with N >= 1"
+    )]
+    fn zero_worker_backend_setting_panics_naming_the_knob_and_value() {
+        BackendChoice::from_setting(Some("threaded:0"));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NSX_BACKEND='frobnicate'")]
+    fn malformed_backend_setting_panics_naming_the_knob_and_value() {
+        BackendChoice::from_setting(Some("frobnicate"));
+    }
+
+    #[test]
+    fn transport_setting_is_inproc_when_unset_and_parsed_when_set() {
+        assert_eq!(TransportChoice::from_setting(None), TransportChoice::Inproc);
+        assert_eq!(
+            TransportChoice::from_setting(Some("process")),
+            TransportChoice::Process
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NSX_TRANSPORT='processes': expected inproc|process")]
+    fn malformed_transport_setting_panics_naming_the_knob_and_value() {
+        TransportChoice::from_setting(Some("processes"));
+    }
+
+    #[test]
+    fn validate_start_names_each_spec_check() {
+        let cfg = SimplexConfig::default();
+        let init = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]];
+        assert_eq!(cfg.validate_start(2, &init), Ok(()));
+        assert!(matches!(
+            cfg.validate_start(2, &init[..2]),
+            Err(ConfigError::InitialSimplex(_))
+        ));
+        let ragged = vec![vec![0.0, 0.0], vec![1.0], vec![0.0, 1.0]];
+        let err = cfg.validate_start(2, &ragged).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid initial simplex: vertex 1 has 1 coordinates, expected d = 2"
+        );
+        let mut bad = cfg.clone();
+        bad.coefficients.gamma = 0.5;
+        assert!(matches!(
+            bad.validate_start(2, &init),
+            Err(ConfigError::Coefficients(_))
+        ));
+        let mut bad = cfg;
+        bad.sampling.growth = 1.0;
+        assert!(matches!(
+            bad.validate_start(2, &init),
+            Err(ConfigError::Sampling(_))
+        ));
     }
 
     #[test]

@@ -7,16 +7,9 @@
 //! straw baseline: it converges, but often to a point far from the true
 //! minimum because noise corrupts the vertex ordering.
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::algorithm::Method;
 use crate::config::SimplexConfig;
-use crate::metrics::EngineMetrics;
-use crate::result::RunResult;
-use crate::session::{Driver, RunSession};
-use crate::termination::Termination;
-use obs::MetricsRegistry;
-use std::path::Path;
-use stoch_eval::clock::TimeMode;
-use stoch_eval::objective::StochasticObjective;
+use crate::session::Driver;
 
 /// The deterministic Nelder–Mead simplex (paper Algorithm 1).
 #[derive(Debug, Clone)]
@@ -43,80 +36,15 @@ impl Det {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Optimize `objective` from the initial simplex `init`.
-    pub fn run<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-    ) -> RunResult {
-        self.run_with_metrics(objective, init, term, mode, seed, None)
+impl Method for Det {
+    fn config(&self) -> &SimplexConfig {
+        &self.cfg
     }
 
-    /// [`run`](Self::run) with optional run accounting: when `registry` is
-    /// given, engine step/trial/round tallies are recorded into it and
-    /// summarized in [`RunResult::metrics`].
-    pub fn run_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> RunResult {
-        let mut session = RunSession::new(
-            objective,
-            init,
-            self.cfg.clone(),
-            term,
-            mode,
-            seed,
-            Driver::Det,
-        );
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        session.run_to_completion()
-    }
-
-    /// Resume a checkpointed DET run (see
-    /// [`SimplexMethod::resume`](crate::algorithm::SimplexMethod::resume)).
-    pub fn resume<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-    ) -> Result<RunResult, CheckpointError> {
-        self.resume_with_metrics(objective, path, term_override, None)
-    }
-
-    /// [`resume`](Self::resume) with optional run accounting.
-    pub fn resume_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, CheckpointError> {
-        let (payload, from) = checkpoint::load_with_fallback(path)?;
-        let mut session = RunSession::resume(
-            objective,
-            self.cfg.clone(),
-            &payload,
-            term_override,
-            Driver::Det,
-        )?;
-        if from != path {
-            session.record_note(crate::result::RunNote::CheckpointFellBack);
-        }
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        Ok(session.run_to_completion())
+    fn driver(&self) -> Driver {
+        Driver::Det
     }
 }
 
@@ -124,7 +52,8 @@ impl Det {
 mod tests {
     use super::*;
     use crate::init::random_uniform;
-    use crate::termination::StopReason;
+    use crate::termination::{StopReason, Termination};
+    use stoch_eval::clock::TimeMode;
     use stoch_eval::functions::{Rosenbrock, Sphere};
     use stoch_eval::noise::{ConstantNoise, ZeroNoise};
     use stoch_eval::objective::Objective;

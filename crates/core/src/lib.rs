@@ -8,18 +8,18 @@
 //!
 //! # Algorithms
 //!
-//! * [`Det`](det::Det) — deterministic Nelder–Mead (Algorithm 1), the straw
+//! * [`Det`] — deterministic Nelder–Mead (Algorithm 1), the straw
 //!   baseline that treats noisy observations as truth.
-//! * [`MaxNoise`](mn::MaxNoise) — MN (Algorithm 2): gate every simplex move
+//! * [`MaxNoise`] — MN (Algorithm 2): gate every simplex move
 //!   until the noisiest vertex is quiet relative to the simplex's internal
 //!   value spread (Eq. 2.3).
-//! * [`PointComparison`](pc::PointComparison) — PC (Algorithm 3):
+//! * [`PointComparison`] — PC (Algorithm 3):
 //!   confidence-interval comparisons at seven decision sites with targeted
 //!   resampling of only the points involved.
-//! * [`PcMn`](pcmn::PcMn) — PC+MN (Algorithm 4): both gates combined.
-//! * [`AndersonNm`](anderson::AndersonNm) — the Anderson et al. (2000)
+//! * [`PcMn`] — PC+MN (Algorithm 4): both gates combined.
+//! * [`AndersonNm`] — the Anderson et al. (2000)
 //!   convergence criterion (Eq. 2.4) inside Nelder–Mead; plus
-//!   [`AndersonSearch`](anderson::AndersonSearch), the structure-based
+//!   [`AndersonSearch`], the structure-based
 //!   direct search, as an extension.
 //! * [`baselines`] — SPSA, simulated annealing, and random search on the
 //!   same sampling substrate (extensions).
@@ -27,6 +27,10 @@
 //!   hybrid the paper proposes as future work (§5.2).
 //! * [`restart`] — multistart wrapper turning any local method into a
 //!   global one (§1.3.5.1).
+//!
+//! The five simplex-family methods share one front door, the [`Method`]
+//! trait: `run`/`resume` and their `_with_metrics` forms, written once over
+//! a [`RunSession`].
 //!
 //! # Quick start
 //!
@@ -68,14 +72,13 @@ pub mod trace;
 
 /// Convenient glob import for typical use.
 pub mod prelude {
-    pub use crate::algorithm::SimplexMethod;
+    pub use crate::algorithm::{Method, SimplexMethod};
     pub use crate::anderson::{AndersonNm, AndersonSearch};
     pub use crate::baselines::{RandomSearch, SimulatedAnnealing, Spsa};
     pub use crate::checkpoint::{CheckpointConfig, CheckpointError, SnapshotInfo};
     pub use crate::config::{
-        check_nested_dispatch, AndersonParams, BackendChoice, BreakdownAction, BreakdownPolicy,
-        ConfigError, MnParams, NonFinitePolicy, PcConditions, PcParams, SamplingPolicy,
-        SimplexConfig, TransportChoice,
+        AndersonParams, BackendChoice, BreakdownAction, BreakdownPolicy, ConfigError, MnParams,
+        NonFinitePolicy, PcConditions, PcParams, SamplingPolicy, SimplexConfig, TransportChoice,
     };
     pub use crate::det::Det;
     pub use crate::geometry::Coefficients;

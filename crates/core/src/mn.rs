@@ -18,17 +18,12 @@
 //! comparison, mirroring the MW deployment where the d+3 workers sample
 //! concurrently.
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::algorithm::Method;
 use crate::classic::{internal_variance, max_noise_variance, MAX_WAIT_ROUNDS};
 use crate::config::{MnParams, SimplexConfig};
 use crate::engine::Engine;
-use crate::metrics::EngineMetrics;
-use crate::result::RunResult;
-use crate::session::{Driver, RunSession};
-use crate::termination::{StopReason, Termination};
-use obs::MetricsRegistry;
-use std::path::Path;
-use stoch_eval::clock::TimeMode;
+use crate::session::Driver;
+use crate::termination::StopReason;
 use stoch_eval::objective::StochasticObjective;
 
 /// The MN wait loop shared by [`MaxNoise`] and [`crate::pcmn::PcMn`]
@@ -85,84 +80,15 @@ impl MaxNoise {
             params: MnParams { k },
         }
     }
+}
 
-    /// Optimize `objective` from the initial simplex `init`.
-    pub fn run<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-    ) -> RunResult {
-        self.run_with_metrics(objective, init, term, mode, seed, None)
+impl Method for MaxNoise {
+    fn config(&self) -> &SimplexConfig {
+        &self.cfg
     }
 
-    /// [`run`](Self::run) with optional run accounting: when `registry` is
-    /// given, MN gate statistics and engine tallies are recorded into it and
-    /// summarized in [`RunResult::metrics`].
-    pub fn run_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> RunResult {
-        let mut session = RunSession::new(
-            objective,
-            init,
-            self.cfg.clone(),
-            term,
-            mode,
-            seed,
-            Driver::Mn(self.params),
-        );
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        session.run_to_completion()
-    }
-
-    /// Resume a checkpointed MN run (see
-    /// [`SimplexMethod::resume`](crate::algorithm::SimplexMethod::resume)).
-    pub fn resume<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-    ) -> Result<RunResult, CheckpointError> {
-        self.resume_with_metrics(objective, path, term_override, None)
-    }
-
-    /// [`resume`](Self::resume) with optional run accounting.
-    ///
-    /// The MN gate is stateless (Eq. 2.3 is a pure function of the current
-    /// vertex estimates), so the resumed run re-enters the loop exactly
-    /// where the original would have been.
-    pub fn resume_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, CheckpointError> {
-        let (payload, from) = checkpoint::load_with_fallback(path)?;
-        let mut session = RunSession::resume(
-            objective,
-            self.cfg.clone(),
-            &payload,
-            term_override,
-            Driver::Mn(self.params),
-        )?;
-        if from != path {
-            session.record_note(crate::result::RunNote::CheckpointFellBack);
-        }
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        Ok(session.run_to_completion())
+    fn driver(&self) -> Driver {
+        Driver::Mn(self.params)
     }
 }
 
@@ -171,6 +97,8 @@ mod tests {
     use super::*;
     use crate::det::Det;
     use crate::init::random_uniform;
+    use crate::termination::Termination;
+    use stoch_eval::clock::TimeMode;
     use stoch_eval::functions::Rosenbrock;
     use stoch_eval::noise::{ConstantNoise, ZeroNoise};
     use stoch_eval::objective::Objective;

@@ -9,19 +9,14 @@
 //! Figures 3.8–3.17 ablate exactly this choice via
 //! [`PcConditions`](crate::config::PcConditions).
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::algorithm::Method;
 use crate::compare::{confident_greater, confident_less, Decision};
 use crate::config::{PcParams, SimplexConfig};
 use crate::engine::Engine;
 use crate::geometry::{contract, expand, reflect};
-use crate::metrics::EngineMetrics;
-use crate::result::RunResult;
-use crate::session::{Driver, RunSession};
-use crate::termination::{StopReason, Termination};
+use crate::session::Driver;
+use crate::termination::StopReason;
 use crate::trace::StepKind;
-use obs::MetricsRegistry;
-use std::path::Path;
-use stoch_eval::clock::TimeMode;
 use stoch_eval::objective::StochasticObjective;
 
 /// Safety cap on resampling rounds within one decision.
@@ -220,80 +215,15 @@ impl PointComparison {
             params,
         }
     }
+}
 
-    /// Optimize `objective` from the initial simplex `init`.
-    pub fn run<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-    ) -> RunResult {
-        self.run_with_metrics(objective, init, term, mode, seed, None)
+impl Method for PointComparison {
+    fn config(&self) -> &SimplexConfig {
+        &self.cfg
     }
 
-    /// [`run`](Self::run) with optional run accounting: when `registry` is
-    /// given, per-site decision counters (c1…c7) and engine tallies are
-    /// recorded into it and summarized in [`RunResult::metrics`].
-    pub fn run_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        init: Vec<Vec<f64>>,
-        term: Termination,
-        mode: TimeMode,
-        seed: u64,
-        registry: Option<&MetricsRegistry>,
-    ) -> RunResult {
-        let mut session = RunSession::new(
-            objective,
-            init,
-            self.cfg.clone(),
-            term,
-            mode,
-            seed,
-            Driver::Pc(self.params),
-        );
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        session.run_to_completion()
-    }
-
-    /// Resume a checkpointed PC run (see
-    /// [`SimplexMethod::resume`](crate::algorithm::SimplexMethod::resume)).
-    pub fn resume<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-    ) -> Result<RunResult, CheckpointError> {
-        self.resume_with_metrics(objective, path, term_override, None)
-    }
-
-    /// [`resume`](Self::resume) with optional run accounting.
-    pub fn resume_with_metrics<F: StochasticObjective>(
-        &self,
-        objective: &F,
-        path: &Path,
-        term_override: Option<Termination>,
-        registry: Option<&MetricsRegistry>,
-    ) -> Result<RunResult, CheckpointError> {
-        let (payload, from) = checkpoint::load_with_fallback(path)?;
-        let mut session = RunSession::resume(
-            objective,
-            self.cfg.clone(),
-            &payload,
-            term_override,
-            Driver::Pc(self.params),
-        )?;
-        if from != path {
-            session.record_note(crate::result::RunNote::CheckpointFellBack);
-        }
-        if let Some(reg) = registry {
-            session.attach_metrics(EngineMetrics::register(reg));
-        }
-        Ok(session.run_to_completion())
+    fn driver(&self) -> Driver {
+        Driver::Pc(self.params)
     }
 }
 
@@ -303,6 +233,8 @@ mod tests {
     use crate::config::PcConditions;
     use crate::init::random_uniform;
     use crate::mn::MaxNoise;
+    use crate::termination::Termination;
+    use stoch_eval::clock::TimeMode;
     use stoch_eval::functions::Rosenbrock;
     use stoch_eval::noise::{ConstantNoise, ZeroNoise};
     use stoch_eval::objective::Objective;

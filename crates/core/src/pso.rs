@@ -13,7 +13,7 @@
 //! [`PsoSimplex`] runs a PSO exploration phase, builds a simplex from the
 //! best particles, and refines it with any [`SimplexMethod`].
 
-use crate::algorithm::SimplexMethod;
+use crate::algorithm::{Method, SimplexMethod};
 use crate::config::BackendChoice;
 use crate::result::RunResult;
 use crate::termination::{StopReason, Termination};

@@ -6,7 +6,7 @@
 //! a fresh random simplex is drawn and the search continues until the total
 //! budget is exhausted; the best result across restarts wins.
 
-use crate::algorithm::SimplexMethod;
+use crate::algorithm::{Method, SimplexMethod};
 use crate::init::random_uniform;
 use crate::result::RunResult;
 use crate::termination::{StopReason, Termination};

@@ -15,8 +15,9 @@
 //!
 //! Because `step` performs the same calls in the same order as the old
 //! closed loops, [`RunSession::run_to_completion`] is bit-identical to the
-//! historical `run()` entry points; the per-method front doors (`Det::run`,
-//! `MaxNoise::run`, …) are now thin wrappers over a session.
+//! historical `run()` entry points. Every method runs and resumes through
+//! the one front door written over a session,
+//! [`Method`](crate::algorithm::Method).
 
 use crate::anderson::AndersonNm;
 use crate::checkpoint::CheckpointError;
@@ -76,9 +77,8 @@ impl<'a, F: StochasticObjective> RunSession<'a, F> {
     /// Start a fresh session on the backend the config would build.
     ///
     /// # Panics
-    /// As [`Engine::new`]: on malformed `init`/coefficients, or when the
-    /// objective and backend dispatch on the same worker pool (nested
-    /// dispatch — see [`crate::config::check_nested_dispatch`]).
+    /// As [`Engine::new`]: on a malformed `init`, invalid coefficients or an
+    /// invalid sampling policy.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         objective: &'a F,

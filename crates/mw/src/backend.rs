@@ -12,7 +12,7 @@
 //! serial backend.
 //!
 //! The round itself runs in the dispatch loop shared with the process
-//! backend ([`crate::dispatch`]): retry from master-side stream clones,
+//! backend (`crate::dispatch`): retry from master-side stream clones,
 //! per-attempt deadlines, straggler hedging (`NSX_HEDGE`, DESIGN.md §16)
 //! and degradation to inline execution once the pool has failed
 //! (DESIGN.md §9). This file supplies the thread side of that loop: how a
@@ -22,12 +22,6 @@
 //! Faults come from the `NSX_FAULTS` environment variable (see
 //! [`FaultPlan`]) for chaos testing, or programmatically via
 //! [`ThreadedBackend::with_options`].
-//!
-//! Do **not** wrap an [`MwObjective`](crate::objective::MwObjective) in a
-//! `ThreadedBackend` over the *same* pool: its streams call back into the
-//! pool from inside a worker job, which deadlocks once every worker is
-//! occupied by a batch job. Use one or the other — the backend subsumes the
-//! adapter for batch workloads.
 
 use crate::dispatch::{Dispatcher, LegId, Link, Outcome, Shipped};
 use crate::faults::FaultPlan;
@@ -40,9 +34,7 @@ use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::objective::SampleStream;
 
 /// Ship one extension job to the pool: the stream state moves to a worker,
-/// extends there, and is handed back through the job handle. The thread
-/// link below and the per-stream [`MwStream`](crate::objective::MwStream)
-/// adapter both ship through this.
+/// extends there, and is handed back through the job handle.
 pub(crate) fn ship_extend<S: SampleStream + 'static>(
     pool: &MwPool,
     mut job: StreamJob<S>,
@@ -249,10 +241,6 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for ThreadedBackend {
 
     fn degraded(&self) -> bool {
         self.dispatch.degraded() || self.pool.is_failed()
-    }
-
-    fn pool_token(&self) -> Option<usize> {
-        Some(Arc::as_ptr(&self.pool) as usize)
     }
 }
 

@@ -559,7 +559,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::backend::ThreadedBackend;
     use crate::faults::FaultPlan;
-    use crate::pool::default_respawn_budget;
+    use crate::pool::{default_respawn_budget, MwPool};
     use crate::transport::ProcessBackend;
     use stoch_eval::backend::{SamplingBackend, SerialBackend};
     use stoch_eval::functions::Rosenbrock;
@@ -800,6 +800,49 @@ pub(crate) mod tests {
         assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 6)));
     }
 
+    /// Run `batch` on a two-worker pool with worker 0 holding one of its
+    /// jobs. Otherwise the shared queue may hand worker 1 every job while
+    /// worker 0 is still waking. Both workers are parked on pool jobs,
+    /// worker 0 is freed, and worker 1 is freed only once worker 0 has
+    /// taken a batch job.
+    fn with_worker_zero_engaged<R: Send>(pool: &MwPool, batch: impl FnOnce() -> R + Send) -> R {
+        let (started, on) = std::sync::mpsc::channel();
+        let parked: Vec<_> = (0..2)
+            .map(|k| {
+                let (release, gate) = std::sync::mpsc::channel::<()>();
+                let started = started.clone();
+                let handle = pool.submit(move |w| {
+                    let _ = started.send((w, k));
+                    let _ = gate.recv();
+                });
+                (release, handle)
+            })
+            .collect();
+        let mut hold_on = [0; 2];
+        for _ in 0..2 {
+            let (w, k) = on.recv().expect("parking job reports its worker");
+            hold_on[w] = k;
+        }
+        let (release, handle) = &parked[hold_on[0]];
+        let _ = release.send(());
+        while handle.try_recv() == Ok(None) {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        // A worker's idle time grows when it receives a job, so the next
+        // change is worker 0 taking a batch job.
+        let idle = pool.idle_seconds()[0];
+        std::thread::scope(|s| {
+            let run = s.spawn(batch);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pool.idle_seconds()[0] == idle {
+                assert!(Instant::now() < deadline, "worker 0 never took a job");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            let _ = parked[hold_on[1]].0.send(());
+            run.join().expect("batch completes")
+        })
+    }
+
     fn hedged_straggler_stays_bit_identical_and_records_wins(kind: Kind) {
         let reg = MetricsRegistry::new();
         let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
@@ -808,18 +851,43 @@ pub(crate) mod tests {
         // stay bit-identical to serial.
         let hedge = HedgePolicy::parse("on:q=0.5:factor=1:min_ms=5:warmup=5").unwrap();
         let faults = FaultPlan::none().delay(0, 0, 50);
-        let b = backend(
-            kind,
-            2,
-            faults,
-            RetryPolicy::default(),
-            default_respawn_budget(2),
-            Some(&reg),
-            hedge,
-        );
-        for _ in 0..5 {
+        let budget = default_respawn_budget(2);
+        // Round-robin shipping hands worker 0 jobs on the wire; a shared
+        // thread queue needs the first batch steered onto it.
+        let (b, pool): (Backend, _) = match kind {
+            Kind::Threads => {
+                let t = ThreadedBackend::with_options(
+                    2,
+                    faults,
+                    RetryPolicy::default(),
+                    budget,
+                    Some(&reg),
+                )
+                .with_hedge(hedge);
+                let pool = Arc::clone(t.pool());
+                (Box::new(t), Some(pool))
+            }
+            Kind::Processes => {
+                let b = backend(
+                    kind,
+                    2,
+                    faults,
+                    RetryPolicy::default(),
+                    budget,
+                    Some(&reg),
+                    hedge,
+                );
+                (b, None)
+            }
+        };
+        for i in 0..5 {
             let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
-            assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
+            let batch = || b.extend_batch(jobs_at(&obj, 8));
+            let got = match &pool {
+                Some(pool) if i == 0 => with_worker_zero_engaged(pool, batch),
+                _ => batch(),
+            };
+            assert_batches_identical(&serial, &got);
         }
         assert!(!b.degraded(), "{kind:?}");
         assert!(

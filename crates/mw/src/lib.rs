@@ -23,9 +23,6 @@
 //! * [`backend`] — [`backend::ThreadedBackend`], the thread-pool
 //!   implementation of `stoch-eval`'s `SamplingBackend` seam: whole
 //!   sampling rounds fan out over the workers through the dispatch loop.
-//! * [`objective`] — an adapter that runs any `StochasticObjective`'s
-//!   sampling on MW workers, so the optimizers in `noisy-simplex` can be
-//!   deployed on the pool unchanged.
 //! * [`resilience`] — straggler hedging ([`resilience::HedgePolicy`],
 //!   `NSX_HEDGE`), heartbeat liveness, and jittered respawn backoff
 //!   (DESIGN.md §16), shared by the pools, the dispatch loop, and the
@@ -52,7 +49,6 @@ pub mod alloc;
 pub mod backend;
 mod dispatch;
 pub mod faults;
-pub mod objective;
 pub mod pool;
 pub mod resilience;
 pub mod task;
@@ -61,7 +57,6 @@ pub mod transport;
 pub use alloc::Allocation;
 pub use backend::ThreadedBackend;
 pub use faults::{Delay, FaultPlan, WorkerFault};
-pub use objective::{MwObjective, MwStream};
 pub use pool::{
     default_respawn_budget, JobHandle, MwPool, RetryPolicy, ShutdownError, WorkerLost, WorkerStats,
 };

@@ -925,13 +925,31 @@ mod tests {
         assert_eq!(pool.call(|_| 7).unwrap(), 7);
     }
 
+    /// Submit two jobs to a two-worker pool so that each worker takes
+    /// exactly one: the first job holds its worker until the second has
+    /// resolved, so the second must go to the other worker. A plain
+    /// sequence of jobs on the shared queue may never reach a worker that
+    /// is slow to wake.
+    fn one_job_per_worker(pool: &MwPool) -> [Result<usize, WorkerLost>; 2] {
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let held = pool.submit(move |w| {
+            let _ = gate.recv();
+            w
+        });
+        let other = pool.submit(|w| w).recv();
+        let _ = open.send(());
+        [held.recv(), other]
+    }
+
     #[test]
     fn injected_fault_surfaces_as_worker_lost() {
         let pool = MwPool::with_fault_injection(2, &[Some(0), None]);
         let mut lost = 0;
         let mut ok = 0;
-        for _ in 0..20 {
-            match pool.submit(|w| w).recv() {
+        let first_two = one_job_per_worker(&pool);
+        let rest = (2..20).map(|_| pool.submit(|w| w).recv());
+        for r in first_two.into_iter().chain(rest) {
+            match r {
                 Ok(_) => ok += 1,
                 Err(WorkerLost) => lost += 1,
             }
@@ -958,7 +976,15 @@ mod tests {
         // to full strength and keep it serving.
         let pool = MwPool::supervised(2, FaultPlan::none().kill(0, 2));
         let mut lost = 0;
-        for _ in 0..40 {
+        // Three jobs per worker first, so worker 0 reaches its third job.
+        for _ in 0..3 {
+            lost += one_job_per_worker(&pool)
+                .iter()
+                .filter(|r| r.is_err())
+                .count();
+            pool.supervise();
+        }
+        for _ in 6..40 {
             if pool.call(|w| w).is_err() {
                 lost += 1;
             }

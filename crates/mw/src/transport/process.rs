@@ -14,8 +14,8 @@
 //! `mw.backend.degraded`.
 //!
 //! Retry, per-attempt deadlines, hedging and degradation live in the
-//! dispatch loop shared with the threaded backend ([`crate::dispatch`]);
-//! this file supplies the socket side of it (the [`Link`] impl for
+//! dispatch loop shared with the threaded backend (`crate::dispatch`);
+//! this file supplies the socket side of it (the `Link` impl for
 //! [`ProcessPool`]). Unlike threads, a wire cannot distinguish a lost frame
 //! from a slow worker, so the socket link always brings a per-attempt
 //! deadline: [`RetryPolicy::timeout`] when set, [`DEFAULT_ATTEMPT_TIMEOUT`]

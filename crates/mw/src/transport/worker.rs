@@ -14,7 +14,7 @@
 //!
 //! Injected chaos reaches the worker through [`WORKER_FAULTS_ENV`], carrying
 //! the worker-side directives (`kill`/`delay`/`drop`) of the master's
-//! [`FaultPlan`](crate::faults::FaultPlan) re-rendered for slot 0; network
+//! [`FaultPlan`] re-rendered for slot 0; network
 //! faults stay master-side in
 //! [`FaultedTransport`](super::FaultedTransport).
 
@@ -64,7 +64,7 @@ extern "C" fn worker_ctor() {
 #[link_section = ".init_array"]
 static WORKER_CTOR: extern "C" fn() = worker_ctor;
 
-/// Force the object file holding [`WORKER_CTOR`] into the final link.
+/// Force the object file holding `WORKER_CTOR` into the final link.
 /// `#[used]` keeps the symbol within its object file, but an unreferenced
 /// object in an rlib archive can still be skipped by the linker; the process
 /// pool calls this before spawning anything.

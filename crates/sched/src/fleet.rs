@@ -4,8 +4,8 @@
 //! Each scheduling tick, the scheduler marks `k` participants with
 //! [`FleetBackend::enter`] and lets them step concurrently. A participant's
 //! `extend_batch` call posts its jobs at the gate and parks; when every
-//! still-active participant has a request posted (or has [`left`]
-//! [`FleetBackend::leave`] for the tick), the last arrival becomes the
+//! still-active participant has a request posted (or has
+//! [`left`](FleetBackend::leave) for the tick), the last arrival becomes the
 //! dispatcher: it concatenates all pending requests, runs **one**
 //! `extend_batch` on the inner backend, splits the results back per
 //! request, and wakes the owners.
@@ -187,10 +187,6 @@ impl<S: SampleStream + 'static> SamplingBackend<S> for FleetBackend<S> {
 
     fn degraded(&self) -> bool {
         self.inner.degraded()
-    }
-
-    fn pool_token(&self) -> Option<usize> {
-        self.inner.pool_token()
     }
 }
 

@@ -1,8 +1,8 @@
 //! `nsx-sched` — a multi-run scheduling service for the stochastic-simplex
 //! engine.
 //!
-//! Historically a run *owned* its sampling pool: `Det::run` (and friends)
-//! drove a closed loop that monopolized whatever backend the config built.
+//! Historically a run *owned* its sampling pool: `Method::run` drove a
+//! closed loop that monopolized whatever backend the config built.
 //! This crate inverts that ownership for multi-tenant workloads:
 //!
 //! * [`Scheduler`] admits runs ([`RunSpec`]: objective, driver, priority,
@@ -360,30 +360,45 @@ mod tests {
     }
 
     #[test]
-    fn nested_dispatch_is_refused_at_admission() {
-        use mw_framework::{MwObjective, MwPool, ThreadedBackend};
-        let pool = Arc::new(MwPool::new(2));
-        let inner = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
-        let obj = MwObjective::new(inner, Arc::clone(&pool));
-        // The fleet dispatches on the same pool the objective ships to:
-        // admitting this run must fail with the typed error, not deadlock.
-        let mut sched: Scheduler<MwObjective<Noisy<Rosenbrock, ConstantNoise>>> = Scheduler::new(
-            SchedConfig::default(),
-            Arc::new(ThreadedBackend::over(Arc::clone(&pool))),
-        );
-        let err = sched
-            .admit(RunSpec::new(
+    fn malformed_specs_are_refused_at_admission() {
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(10.0));
+        let mut sched = Scheduler::new(SchedConfig::default(), Arc::new(SerialBackend));
+        let spec = |init, cfg| {
+            RunSpec::new(
                 &obj,
-                init(1),
-                serial_cfg(),
-                term(5),
+                init,
+                cfg,
+                term(20),
                 TimeMode::Parallel,
-                1,
-                Driver::Det,
-            ))
-            .unwrap_err();
-        assert_eq!(err, ConfigError::NestedDispatch);
-        let _ = pool.shutdown();
+                5,
+                Driver::Mn(Default::default()),
+            )
+        };
+        // Two vertices for d = 2: the engine would panic mid-tick.
+        let short = init(5)[..2].to_vec();
+        let err = sched.admit(spec(short, serial_cfg())).unwrap_err();
+        assert!(matches!(err, ConfigError::InitialSimplex(_)), "{err}");
+        let mut bad_coeffs = serial_cfg();
+        bad_coeffs.coefficients.alpha = -1.0;
+        let err = sched.admit(spec(init(5), bad_coeffs)).unwrap_err();
+        assert!(matches!(err, ConfigError::Coefficients(_)), "{err}");
+
+        // The refusals leave the service intact: a valid run admitted
+        // afterwards finishes exactly as it does alone.
+        let id = sched.admit(spec(init(5), serial_cfg())).unwrap();
+        sched.run();
+        let solo = RunSession::new(
+            &obj,
+            init(5),
+            serial_cfg(),
+            term(20),
+            TimeMode::Parallel,
+            5,
+            Driver::Mn(Default::default()),
+        )
+        .run_to_completion();
+        let got = sched.result(id).expect("valid run finishes");
+        assert_bit_identical(&solo, got, "run admitted after refusals");
     }
 
     #[test]

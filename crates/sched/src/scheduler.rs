@@ -34,7 +34,7 @@
 
 use crate::config::SchedConfig;
 use crate::fleet::{FleetBackend, FleetTicket};
-use noisy_simplex::config::{check_nested_dispatch, ConfigError, SimplexConfig};
+use noisy_simplex::config::{ConfigError, SimplexConfig};
 use noisy_simplex::result::{RunNote, RunResult};
 use noisy_simplex::session::{Driver, RunSession, SessionStatus};
 use noisy_simplex::termination::Termination;
@@ -208,20 +208,17 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
         pool.attach_registry(&self.service)
     }
 
-    /// Admit a run, returning its id. Fails with
-    /// [`ConfigError::NestedDispatch`] if the objective dispatches on the
-    /// same worker pool as the backend the run would use — the deadlock
-    /// DESIGN.md §8 used to merely document is refused here, up front.
+    /// Admit a run, returning its id. Fails with the [`ConfigError`] the
+    /// engine would otherwise panic on when the run first starts — a
+    /// malformed initial simplex, invalid coefficients or an invalid
+    /// sampling policy — so one bad spec cannot take down a later tick.
     pub fn admit(&mut self, spec: RunSpec<'a, F>) -> Result<u64, ConfigError> {
+        spec.cfg.validate_start(spec.objective.dim(), &spec.init)?;
         let dedicated: Option<Arc<dyn SamplingBackend<F::Stream>>> = if spec.cfg.customized() {
             Some(spec.cfg.build_backend())
         } else {
             None
         };
-        match &dedicated {
-            Some(b) => check_nested_dispatch(b.as_ref(), spec.objective)?,
-            None => check_nested_dispatch(self.fleet.as_ref(), spec.objective)?,
-        }
         let id = self.entries.len() as u64;
         let mut cfg = spec.cfg;
         if let Some(ck) = &cfg.checkpoint {

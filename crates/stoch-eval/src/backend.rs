@@ -14,10 +14,9 @@
 //! bit-identical across backends and schedules:
 //!
 //! 1. **Jobs are independent.** Each [`StreamJob`] owns its stream, and each
-//!    stream owns its RNG (per-stream seeds from
-//!    [`SeedSequence`](crate::rng::SeedSequence)); no job reads shared
-//!    mutable state. Any execution order therefore produces the same
-//!    per-stream results.
+//!    stream owns its RNG (per-stream seeds from [`SeedSequence`]); no job
+//!    reads shared mutable state. Any execution order therefore produces
+//!    the same per-stream results.
 //! 2. **Submission order is preserved.** `extend_batch` returns the jobs in
 //!    the order they were submitted, regardless of completion order, so the
 //!    caller's clock charges and floating-point accumulations
@@ -60,12 +59,9 @@ pub trait SamplingBackend<S>: Send + Sync {
         false
     }
 
-    /// Opaque identity of the worker pool this backend dispatches on, if
-    /// any. Inline backends return `None`. Two backends (or a backend and an
-    /// objective — see
-    /// [`StochasticObjective::pool_token`]) sharing a pool return the same
-    /// token, which lets configuration validation detect the
-    /// nested-dispatch-on-own-pool deadlock before any job is submitted.
+    /// Unread: nothing consults this token and every backend in the
+    /// workspace returns the default `None`. It is kept only because
+    /// perfbench's timing wrappers forward it.
     fn pool_token(&self) -> Option<usize> {
         None
     }

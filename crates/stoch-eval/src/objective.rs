@@ -197,14 +197,9 @@ pub trait StochasticObjective: Sync {
         None
     }
 
-    /// Opaque identity of the worker pool this objective's streams dispatch
-    /// on during `extend`, if any. Plain in-process objectives return `None`
-    /// (the default). Pool-dispatching adapters (e.g. `mw-framework`'s
-    /// `MwObjective`) return a token matching
-    /// [`SamplingBackend::pool_token`](crate::backend::SamplingBackend::pool_token)
-    /// for the same pool, so configuration validation can reject the
-    /// deadlocking combination of an objective and a batch backend driving
-    /// one pool.
+    /// Unread: nothing consults this token and every objective in the
+    /// workspace returns the default `None`. It is kept only because
+    /// perfbench's timing wrappers forward it.
     fn pool_token(&self) -> Option<usize> {
         None
     }
@@ -220,9 +215,6 @@ impl<T: StochasticObjective + ?Sized> StochasticObjective for &T {
     }
     fn true_value(&self, x: &[f64]) -> Option<f64> {
         (**self).true_value(x)
-    }
-    fn pool_token(&self) -> Option<usize> {
-        (**self).pool_token()
     }
 }
 

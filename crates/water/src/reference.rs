@@ -2,7 +2,7 @@
 //! paper's Table 3.4 parameter sets.
 //!
 //! The paper fits against experimental data (Soper 2000 RDFs; standard
-//! thermodynamic references [73][74]). We encode the scalar targets
+//! thermodynamic references \[73\]\[74\]). We encode the scalar targets
 //! directly and provide smooth analytic fits of the experimental RDF
 //! *shapes* (peak positions/heights of liquid water at 298 K) for the curve
 //! figures — see `DESIGN.md`, substitutions.

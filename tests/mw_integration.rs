@@ -2,22 +2,40 @@
 //! over the worker pool, and the scale-up machinery produces consistent
 //! accounting.
 
-use mw_framework::{Allocation, MwObjective, MwPool};
+use mw_framework::{Allocation, MwPool, ThreadedBackend};
 use noisy_simplex::prelude::*;
 use repro_bench::scaleup::scaleup_rosenbrock;
 use std::sync::Arc;
 use stoch_eval::functions::Rosenbrock;
 use stoch_eval::noise::ConstantNoise;
-use stoch_eval::objective::Objective;
 use stoch_eval::sampler::Noisy;
+
+/// Run `method` to completion with every sampling round fanned over `pool`.
+fn run_over_pool<F: stoch_eval::objective::StochasticObjective>(
+    method: &impl Method,
+    pool: &Arc<MwPool>,
+    obj: &F,
+    init: Vec<Vec<f64>>,
+    term: Termination,
+    seed: u64,
+) -> RunResult {
+    RunSession::with_backend(
+        obj,
+        init,
+        method.config().clone(),
+        term,
+        TimeMode::Parallel,
+        seed,
+        method.driver(),
+        Arc::new(ThreadedBackend::over(Arc::clone(pool))),
+    )
+    .run_to_completion()
+}
 
 #[test]
 fn every_method_runs_over_the_mw_pool() {
     let pool = Arc::new(MwPool::new(3));
-    let obj = MwObjective::new(
-        Noisy::new(Rosenbrock::new(2), ConstantNoise(5.0)),
-        Arc::clone(&pool),
-    );
+    let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(5.0));
     let term = Termination {
         tolerance: Some(1e-3),
         max_time: Some(5e3),
@@ -32,7 +50,7 @@ fn every_method_runs_over_the_mw_pool() {
     ];
     for (i, m) in methods.iter().enumerate() {
         let init = init::random_uniform(2, -3.0, 3.0, i as u64);
-        let res = m.run(&obj, init, term, TimeMode::Parallel, i as u64);
+        let res = run_over_pool(m, &pool, &obj, init, term, i as u64);
         assert!(res.iterations > 0, "{} made no progress over MW", m.name());
     }
     let jobs: u64 = pool.job_counts().iter().sum();
@@ -45,19 +63,14 @@ fn mw_runs_are_reproducible_despite_threading() {
     // the streams completely: two identical deployments must agree exactly.
     let run = || {
         let pool = Arc::new(MwPool::new(4));
-        let obj = MwObjective::new(Noisy::new(Rosenbrock::new(3), ConstantNoise(50.0)), pool);
+        let obj = Noisy::new(Rosenbrock::new(3), ConstantNoise(50.0));
         let init = init::random_uniform(3, -6.0, 3.0, 9);
-        MaxNoise::with_k(2.0).run(
-            &obj,
-            init,
-            Termination {
-                tolerance: None,
-                max_time: None,
-                max_iterations: Some(40),
-            },
-            TimeMode::Parallel,
-            13,
-        )
+        let term = Termination {
+            tolerance: None,
+            max_time: None,
+            max_iterations: Some(40),
+        };
+        run_over_pool(&MaxNoise::with_k(2.0), &pool, &obj, init, term, 13)
     };
     let a = run();
     let b = run();
@@ -90,14 +103,4 @@ fn scaleup_step_cost_grows_mildly_with_dimension() {
         small.secs_per_step,
         large.secs_per_step
     );
-}
-
-#[test]
-fn mw_objective_reports_true_values() {
-    let pool = Arc::new(MwPool::new(1));
-    let inner = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
-    let obj = MwObjective::new(inner, pool);
-    use stoch_eval::objective::StochasticObjective;
-    let x = [0.3, 0.7];
-    assert_eq!(obj.true_value(&x), Some(Rosenbrock::new(2).value(&x)));
 }
