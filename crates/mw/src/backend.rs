@@ -52,9 +52,9 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
 
     const DEFAULT_TIMEOUT: Option<Duration> = None;
 
-    fn ship(&self, slot: usize, dt: f64, stream: &S) -> Shipped<Self::Ticket> {
-        let stream = stream.clone();
-        Shipped::Ticket(ship_extend(self, StreamJob { slot, dt, stream }))
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
+        let ship = |job: &StreamJob<S>| Shipped::Ticket(ship_extend(self, job.clone()));
+        jobs.iter().map(ship).collect()
     }
 
     fn wait(

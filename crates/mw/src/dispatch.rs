@@ -80,9 +80,10 @@ pub(crate) trait Link<S> {
     /// supplies one; threads detect loss by disconnection and need none.
     const DEFAULT_TIMEOUT: Option<Duration>;
 
-    /// Ship one extension of `stream` by `dt`. The stream stays with the
-    /// caller as the master-side backup.
-    fn ship(&self, slot: usize, dt: f64, stream: &S) -> Shipped<Self::Ticket>;
+    /// Ship one extension per job, a whole round at once: one
+    /// [`Shipped`] per job, in order. The jobs stay with the caller as the
+    /// master-side backups.
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>>;
 
     /// Outcomes for any of `legs`, waiting up to `max_wait` for the first
     /// one. Returns early as soon as anything resolved; may return empty.
@@ -238,6 +239,12 @@ impl<S: SampleStream, T> Batch<S, T> {
     }
 }
 
+/// Ship one copy of `job`, a retry or a hedge, as a round of one.
+fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>) -> Shipped<L::Ticket> {
+    let shipped = link.ship(std::slice::from_ref(job)).pop();
+    shipped.unwrap_or(Shipped::Unavailable)
+}
+
 /// Extend `job` on the calling thread.
 fn extend_inline<S: SampleStream>(mut job: StreamJob<S>) -> StreamJob<S> {
     job.stream.extend(job.dt);
@@ -366,8 +373,9 @@ impl Dispatcher {
             legs_shipped: 0,
         };
         // Ship everything before waiting on anything.
-        for (idx, job) in jobs.into_iter().enumerate() {
-            self.ship_or_inline(link, &mut batch, idx, job, 1);
+        let shipped = link.ship(&jobs);
+        for ((idx, job), shipped) in jobs.into_iter().enumerate().zip(shipped) {
+            self.place(&mut batch, idx, job, 1, shipped);
         }
         let limit = self.retry.timeout.or(L::DEFAULT_TIMEOUT);
         while batch.live > 0 {
@@ -393,7 +401,7 @@ impl Dispatcher {
                         self.retry_or_inline(link, &mut batch, idx, job, attempt);
                     }
                 } else if p.hedge.is_none() && hedge_after.is_some_and(|after| age >= after) {
-                    if let Shipped::Ticket(t) = link.ship(p.job.slot, p.job.dt, &p.job.stream) {
+                    if let Shipped::Ticket(t) = ship_one(link, &p.job) {
                         self.count(|o| &o.hedge_launched);
                         let leg = batch.leg(t);
                         if let Some(p) = &mut batch.pending[idx] {
@@ -426,17 +434,17 @@ impl Dispatcher {
             .collect()
     }
 
-    /// Ship `job` as a new attempt, or run it inline when the link will not
-    /// take it.
-    fn ship_or_inline<S: SampleStream, L: Link<S>>(
+    /// Record what the link did with `job` as a new attempt: in flight, or
+    /// run inline when the link would not take it.
+    fn place<S: SampleStream, T>(
         &self,
-        link: &L,
-        batch: &mut Batch<S, L::Ticket>,
+        batch: &mut Batch<S, T>,
         idx: usize,
         job: StreamJob<S>,
         attempt: u32,
+        shipped: Shipped<T>,
     ) {
-        match link.ship(job.slot, job.dt, &job.stream) {
+        match shipped {
             Shipped::Ticket(t) => {
                 let primary = batch.leg(t);
                 batch.put(
@@ -475,7 +483,8 @@ impl Dispatcher {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            self.ship_or_inline(link, batch, idx, job, attempt);
+            let shipped = ship_one(link, &job);
+            self.place(batch, idx, job, attempt, shipped);
             return;
         }
         if failed {

@@ -201,6 +201,9 @@ impl Default for HedgePolicy {
 }
 
 impl HedgePolicy {
+    /// What [`parse`](Self::parse) accepts.
+    const GRAMMAR: &'static str = "off|on[:q=..][:factor=..][:min_ms=..][:warmup=..]";
+
     /// The policy selected by `NSX_HEDGE`, or the disabled default when
     /// unset. Panics naming the knob on a value [`parse`](Self::parse)
     /// rejects.
@@ -210,14 +213,7 @@ impl HedgePolicy {
 
     /// [`HedgePolicy::from_env`] over an already-read setting.
     fn from_setting(value: Option<&str>) -> Self {
-        match value {
-            None => Self::default(),
-            Some(v) => Self::parse(v).unwrap_or_else(|| {
-                panic!(
-                    "invalid NSX_HEDGE='{v}': expected off|on[:q=..][:factor=..][:min_ms=..][:warmup=..]"
-                )
-            }),
-        }
+        policy_setting("NSX_HEDGE", Self::GRAMMAR, value, Self::parse)
     }
 
     /// An enabled policy with the default knobs.
@@ -264,6 +260,21 @@ impl HedgePolicy {
     }
 }
 
+/// A policy knob's value: the default when unset, otherwise `parse` of it.
+/// Panics naming the knob, the value and the grammar when `parse` rejects
+/// the value.
+fn policy_setting<T: Default>(
+    knob: &str,
+    grammar: &str,
+    value: Option<&str>,
+    parse: fn(&str) -> Option<T>,
+) -> T {
+    match value {
+        None => T::default(),
+        Some(v) => parse(v).unwrap_or_else(|| panic!("invalid {knob}='{v}': expected {grammar}")),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Heartbeat liveness policy
 // ---------------------------------------------------------------------------
@@ -298,12 +309,19 @@ impl Default for HeartbeatPolicy {
 }
 
 impl HeartbeatPolicy {
-    /// The policy selected by `NSX_HEARTBEAT`, or the enabled default.
+    /// What [`parse`](Self::parse) accepts.
+    const GRAMMAR: &'static str = "off|on[:interval_ms=..][:timeout_ms=..]";
+
+    /// The policy selected by `NSX_HEARTBEAT`, or the enabled default when
+    /// unset. Panics naming the knob on a value [`parse`](Self::parse)
+    /// rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_HEARTBEAT")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
+        Self::from_setting(std::env::var("NSX_HEARTBEAT").ok().as_deref())
+    }
+
+    /// [`HeartbeatPolicy::from_env`] over an already-read setting.
+    fn from_setting(value: Option<&str>) -> Self {
+        policy_setting("NSX_HEARTBEAT", Self::GRAMMAR, value, Self::parse)
     }
 
     /// Parse `off` | `on[:interval_ms=..][:timeout_ms=..]`.
@@ -369,12 +387,19 @@ impl Default for BackoffPolicy {
 }
 
 impl BackoffPolicy {
-    /// The policy selected by `NSX_RESPAWN_BACKOFF`, or the enabled default.
+    /// What [`parse`](Self::parse) accepts.
+    const GRAMMAR: &'static str = "off|on[:base_ms=..][:cap_ms=..]";
+
+    /// The policy selected by `NSX_RESPAWN_BACKOFF`, or the enabled default
+    /// when unset. Panics naming the knob on a value
+    /// [`parse`](Self::parse) rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_RESPAWN_BACKOFF")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
+        Self::from_setting(std::env::var("NSX_RESPAWN_BACKOFF").ok().as_deref())
+    }
+
+    /// [`BackoffPolicy::from_env`] over an already-read setting.
+    fn from_setting(value: Option<&str>) -> Self {
+        policy_setting("NSX_RESPAWN_BACKOFF", Self::GRAMMAR, value, Self::parse)
     }
 
     /// Parse `off` | `on[:base_ms=..][:cap_ms=..]`.
@@ -533,6 +558,27 @@ mod tests {
         assert_eq!(p.timeout, Duration::from_millis(250));
         assert_eq!(HeartbeatPolicy::parse("on:bogus=1"), None);
         assert_eq!(HeartbeatPolicy::parse(""), None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid NSX_HEARTBEAT='on:interval=5': expected off|on[:interval_ms=..]"
+    )]
+    fn malformed_heartbeat_setting_panics_naming_the_knob_and_value() {
+        assert_eq!(
+            HeartbeatPolicy::from_setting(None),
+            HeartbeatPolicy::default()
+        );
+        HeartbeatPolicy::from_setting(Some("on:interval=5"));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid NSX_RESPAWN_BACKOFF='on:base_ms=x': expected off|on[:base_ms=..]"
+    )]
+    fn malformed_backoff_setting_panics_naming_the_knob_and_value() {
+        assert_eq!(BackoffPolicy::from_setting(None), BackoffPolicy::default());
+        BackoffPolicy::from_setting(Some("on:base_ms=x"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! surface as a silently wrong payload (the CRC covers header and payload
 //! alike, and payload length is bounded before any allocation).
 
-use stoch_eval::codec::{crc32, Writer};
+use stoch_eval::codec::crc32;
 
 /// Frame magic: `"NSXF"` read as a little-endian `u32`.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"NSXF");
@@ -174,17 +174,24 @@ impl Frame {
 
     /// Serialize to wire bytes (see the module docs for the layout).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u32(FRAME_MAGIC);
-        w.put_u32(WIRE_VERSION);
-        w.put_u8(self.kind as u8);
-        w.put_u64(self.seq);
-        w.put_u64(self.payload.len() as u64);
-        let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&self.payload);
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
+        let mut bytes = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut bytes);
         bytes
+    }
+
+    /// Append the wire bytes to `out`, so several frames can leave in one
+    /// write.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.encoded_len());
+        out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+        out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+        out.push(self.kind as u8);
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&self.payload);
+        let crc = crc32(&out[start..]);
+        out.extend_from_slice(&crc.to_le_bytes());
     }
 }
 

@@ -88,6 +88,13 @@ pub trait Transport: Send {
     /// Send one frame. [`TransportError::Closed`] when the peer is gone.
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError>;
 
+    /// Send `frames` back to back, in order. The default sends them one at
+    /// a time; a transport that can put them on the wire in one write
+    /// overrides it.
+    fn send_all(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        frames.iter().try_for_each(|f| self.send(f))
+    }
+
     /// Receive the next frame, waiting at most `timeout`. `Ok(None)` on
     /// timeout (the link is healthy, nothing arrived yet).
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError>;
@@ -96,6 +103,10 @@ pub trait Transport: Send {
 impl<T: Transport + ?Sized> Transport for Box<T> {
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
         (**self).send(frame)
+    }
+
+    fn send_all(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        (**self).send_all(frames)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -158,6 +169,16 @@ impl<T: Transport> Transport for FaultedTransport<T> {
         Ok(())
     }
 
+    /// One write when no fault is armed; otherwise frame by frame, so the
+    /// fault indices keep counting frames.
+    fn send_all(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        if !self.net.is_none() {
+            return frames.iter().try_for_each(|f| self.send(f));
+        }
+        self.sent += frames.len() as u64;
+        self.inner.send_all(frames)
+    }
+
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
         self.inner.recv_timeout(timeout)
     }
@@ -189,6 +210,51 @@ mod tests {
         })
         .collect();
         assert_eq!(got, vec![0, 3, 2]);
+    }
+
+    /// What arrives when four frames go out through `net`, one `send` each
+    /// or in one `send_all`.
+    fn delivered(net: NetFault, batched: bool) -> Vec<u64> {
+        let (mut a, b) = channel_pair();
+        let mut faulted = FaultedTransport::new(b, net);
+        let frames: Vec<Frame> = (0..4u64)
+            .map(|seq| Frame::new(FrameKind::Job, seq, vec![seq as u8]))
+            .collect();
+        if batched {
+            faulted.send_all(&frames).unwrap();
+        } else {
+            frames.iter().for_each(|f| faulted.send(f).unwrap());
+        }
+        assert_eq!(faulted.sent(), 4);
+        std::iter::from_fn(|| {
+            a.recv_timeout(Duration::from_millis(50))
+                .unwrap()
+                .map(|f| f.seq)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn send_all_counts_faults_per_frame_like_single_sends() {
+        let armed = [
+            NetFault::default(),
+            NetFault {
+                drop_at: Some(1),
+                ..NetFault::default()
+            },
+            NetFault {
+                reorder_at: Some(2),
+                ..NetFault::default()
+            },
+            NetFault {
+                partition: Some((1, 2)),
+                ..NetFault::default()
+            },
+        ];
+        for net in armed {
+            assert_eq!(delivered(net, true), delivered(net, false), "{net:?}");
+        }
+        assert_eq!(delivered(armed[0], true), vec![0, 1, 2, 3]);
     }
 
     #[test]

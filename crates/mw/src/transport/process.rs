@@ -303,52 +303,83 @@ impl ProcessPool {
         self.lock().failed
     }
 
-    /// Dispatch one job payload to a worker (round-robin over live links,
-    /// reviving dead ones while budget lasts). Returns the seq to collect
-    /// on, or `None` when no worker could take the job — the caller should
-    /// run it inline.
+    /// Dispatch one job payload to a worker; see [`submit_all`](Self::submit_all).
     pub fn submit(&self, payload: Vec<u8>) -> Option<u64> {
+        self.submit_all(vec![payload])[0]
+    }
+
+    /// Dispatch job payloads (round-robin over live links, reviving dead
+    /// ones while budget lasts), one write per link for its whole share.
+    /// Returns, per payload, the seq to collect on, or `None` when no worker
+    /// could take it — the caller should run that job inline.
+    pub fn submit_all(&self, mut payloads: Vec<Vec<u8>>) -> Vec<Option<u64>> {
         let mut inner = self.lock();
-        let n = inner.workers.len();
-        // Pass 0 respects respawn backoff deferrals; pass 1 forces revival
-        // past them — a pool that still has budget must field a worker
-        // rather than let the backend degrade to inline forever.
-        for pass in 0..2 {
-            let force = pass == 1;
-            for _ in 0..n {
-                let idx = inner.rr % n;
-                inner.rr = inner.rr.wrapping_add(1);
-                if inner.workers[idx].transport.is_none() {
-                    self.revive_opts(&mut inner, idx, force);
+        let mut seqs = vec![None; payloads.len()];
+        let mut unplaced: Vec<usize> = (0..payloads.len()).collect();
+        while !unplaced.is_empty() {
+            let mut shares: Vec<Vec<usize>> = vec![Vec::new(); inner.workers.len()];
+            for i in unplaced.drain(..) {
+                if let Some(idx) = self.place(&mut inner) {
+                    shares[idx].push(i);
                 }
-                if inner.workers[idx].transport.is_none() {
+            }
+            for (idx, share) in shares.into_iter().enumerate() {
+                if share.is_empty() {
                     continue;
                 }
-                let seq = inner.next_seq;
-                let frame = Frame::new(FrameKind::Job, seq, payload.clone());
-                let link = &mut inner.workers[idx];
-                let sent = match &mut link.transport {
-                    Some(t) => t.send(&frame),
-                    None => continue,
+                let first = inner.next_seq;
+                inner.next_seq += share.len() as u64;
+                let frames: Vec<Frame> = (first..)
+                    .zip(&share)
+                    .map(|(seq, &i)| {
+                        Frame::new(FrameKind::Job, seq, std::mem::take(&mut payloads[i]))
+                    })
+                    .collect();
+                let sent = match &mut inner.workers[idx].transport {
+                    Some(t) => t.send_all(&frames),
+                    None => Err(TransportError::Closed),
                 };
-                match sent {
-                    Ok(()) => {
-                        inner.next_seq += 1;
-                        inner.workers[idx].pending.push(seq);
-                        if let Some(o) = &self.obs {
-                            o.frames_sent.inc();
-                            o.bytes_sent.add(frame.encoded_len() as u64);
-                        }
-                        return Some(seq);
+                if sent.is_err() {
+                    // Re-place this share on the next pass; placement
+                    // revives or skips the buried slot.
+                    self.bury(&mut inner, idx);
+                    for (f, i) in frames.into_iter().zip(share) {
+                        payloads[i] = f.payload;
+                        unplaced.push(i);
                     }
-                    Err(_) => {
-                        self.bury(&mut inner, idx);
-                        self.revive_opts(&mut inner, idx, force);
-                    }
+                    continue;
+                }
+                if let Some(o) = &self.obs {
+                    o.frames_sent.add(frames.len() as u64);
+                    o.bytes_sent
+                        .add(frames.iter().map(|f| f.encoded_len() as u64).sum());
+                }
+                for (f, i) in frames.iter().zip(share) {
+                    inner.workers[idx].pending.push(f.seq);
+                    seqs[i] = Some(f.seq);
                 }
             }
         }
         update_failed(&mut inner);
+        seqs
+    }
+
+    /// The next live slot in round-robin order, reviving dead ones while
+    /// budget lasts. Pass 0 respects respawn backoff deferrals; pass 1
+    /// forces revival past them — a pool that still has budget must field
+    /// a worker rather than let the backend degrade to inline forever.
+    fn place(&self, inner: &mut Inner) -> Option<usize> {
+        let n = inner.workers.len();
+        for force in [false, true] {
+            for _ in 0..n {
+                let idx = inner.rr % n;
+                inner.rr = inner.rr.wrapping_add(1);
+                self.revive_opts(inner, idx, force);
+                if inner.workers[idx].transport.is_some() {
+                    return Some(idx);
+                }
+            }
+        }
         None
     }
 
@@ -746,21 +777,40 @@ impl<S: SampleStream> Link<S> for ProcessPool {
 
     const DEFAULT_TIMEOUT: Option<Duration> = Some(DEFAULT_ATTEMPT_TIMEOUT);
 
-    fn ship(&self, slot: usize, dt: f64, stream: &S) -> Shipped<Self::Ticket> {
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
         let Some(wire_id) = S::wire_id() else {
             if let Some(o) = &self.obs {
-                o.inline_jobs.inc();
+                o.inline_jobs.add(jobs.len() as u64);
             }
-            return Shipped::Unsupported;
+            return jobs.iter().map(|_| Shipped::Unsupported).collect();
         };
-        let mut w = Writer::new();
-        if stream.save_state(&mut w).is_err() {
-            return Shipped::Unavailable;
+        // Encode every job; a stream whose state will not save cannot ship.
+        let mut shipped = Vec::with_capacity(jobs.len());
+        let mut payloads = Vec::with_capacity(jobs.len());
+        for job in jobs {
+            let mut w = Writer::new();
+            if job.stream.save_state(&mut w).is_ok() {
+                payloads.push(wire::encode_job(
+                    wire_id,
+                    job.slot as u64,
+                    job.dt,
+                    &w.into_bytes(),
+                ));
+                shipped.push(Shipped::Ticket((0, job.slot))); // seq set below
+            } else {
+                shipped.push(Shipped::Unavailable);
+            }
         }
-        match self.submit(wire::encode_job(wire_id, slot as u64, dt, &w.into_bytes())) {
-            Some(seq) => Shipped::Ticket((seq, slot)),
-            None => Shipped::Unavailable,
+        let mut seqs = self.submit_all(payloads).into_iter();
+        for s in &mut shipped {
+            if let Shipped::Ticket((_, slot)) = *s {
+                *s = match seqs.next().flatten() {
+                    Some(seq) => Shipped::Ticket((seq, slot)),
+                    None => Shipped::Unavailable,
+                };
+            }
         }
+        shipped
     }
 
     fn wait(
@@ -799,7 +849,7 @@ impl<S: SampleStream> Link<S> for ProcessPool {
     }
 
     fn supervise(&self) {
-        // Reaping, heartbeats and revival run inside `collect` and `submit`.
+        // Reaping, heartbeats and revival run inside `collect` and `submit_all`.
     }
 
     fn is_failed(&self) -> bool {

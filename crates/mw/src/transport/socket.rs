@@ -18,11 +18,19 @@ use std::time::{Duration, Instant};
 const MIN_READ_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// One endpoint of a Unix-domain socket link.
+///
+/// The socket's blocking mode and `SO_RCVTIMEO` are cached and changed only
+/// when a call needs a different value, so steady polling or steady timed
+/// waits cost no mode-switch syscalls.
 pub struct SocketTransport {
     stream: UnixStream,
     buf: FrameBuffer,
     /// Scratch for `read` calls.
     chunk: [u8; 64 * 1024],
+    /// Whether the socket is in nonblocking mode right now.
+    nonblocking: bool,
+    /// The `SO_RCVTIMEO` last set, in whole milliseconds.
+    read_timeout: Option<Duration>,
 }
 
 impl SocketTransport {
@@ -34,6 +42,8 @@ impl SocketTransport {
             stream,
             buf: FrameBuffer::new(),
             chunk: [0u8; 64 * 1024],
+            nonblocking: false,
+            read_timeout: None,
         })
     }
 
@@ -51,12 +61,37 @@ impl SocketTransport {
         }
     }
 
+    fn set_nonblocking(&mut self, on: bool) -> Result<(), TransportError> {
+        if self.nonblocking != on {
+            self.stream.set_nonblocking(on).map_err(Self::map_io)?;
+            self.nonblocking = on;
+        }
+        Ok(())
+    }
+
+    /// Write every byte in whatever mode the socket is in: a full send
+    /// buffer in nonblocking mode switches to blocking and carries on.
+    fn write_all(&mut self, mut bytes: &[u8]) -> Result<(), TransportError> {
+        while !bytes.is_empty() {
+            match self.stream.write(bytes) {
+                Ok(0) => return Err(TransportError::Closed),
+                Ok(n) => bytes = &bytes[n..],
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.set_nonblocking(false)?;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(Self::map_io(e)),
+            }
+        }
+        Ok(())
+    }
+
     /// Drain everything the kernel has buffered without blocking, then try
     /// to assemble a frame. This is the fast path for pools multiplexing
     /// many links: polling a quiet link costs one `read` returning
     /// `WouldBlock`, not a timed wait.
     fn recv_nonblocking(&mut self) -> Result<Option<Frame>, TransportError> {
-        self.stream.set_nonblocking(true).map_err(Self::map_io)?;
+        self.set_nonblocking(true)?;
         let mut status = Ok(());
         loop {
             match self.stream.read(&mut self.chunk) {
@@ -64,7 +99,14 @@ impl SocketTransport {
                     status = Err(TransportError::Closed);
                     break;
                 }
-                Ok(n) => self.buf.extend(&self.chunk[..n]),
+                Ok(n) => {
+                    self.buf.extend(&self.chunk[..n]);
+                    // A short read emptied the kernel buffer; asking again
+                    // would only fetch a `WouldBlock`.
+                    if n < self.chunk.len() {
+                        break;
+                    }
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -73,7 +115,6 @@ impl SocketTransport {
                 }
             }
         }
-        let _ = self.stream.set_nonblocking(false);
         match self.buf.try_frame()? {
             // Deliver a buffered frame even when the peer also closed; the
             // next call reports the hangup.
@@ -85,7 +126,16 @@ impl SocketTransport {
 
 impl Transport for SocketTransport {
     fn send(&mut self, frame: &Frame) -> Result<(), TransportError> {
-        self.stream.write_all(&frame.encode()).map_err(Self::map_io)
+        self.send_all(std::slice::from_ref(frame))
+    }
+
+    /// Every frame in one `write`.
+    fn send_all(&mut self, frames: &[Frame]) -> Result<(), TransportError> {
+        let mut out = Vec::with_capacity(frames.iter().map(Frame::encoded_len).sum());
+        for f in frames {
+            f.encode_into(&mut out);
+        }
+        self.write_all(&out)
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>, TransportError> {
@@ -95,14 +145,20 @@ impl Transport for SocketTransport {
         if timeout.is_zero() {
             return self.recv_nonblocking();
         }
+        self.set_nonblocking(false)?;
         let deadline = Instant::now() + timeout;
         loop {
-            let left = deadline
-                .saturating_duration_since(Instant::now())
-                .max(MIN_READ_TIMEOUT);
-            self.stream
-                .set_read_timeout(Some(left))
-                .map_err(Self::map_io)?;
+            // Whole milliseconds, rounded up, so a run of waits with similar
+            // deadlines reuses the timeout already set.
+            let left = deadline.saturating_duration_since(Instant::now());
+            let left =
+                Duration::from_millis(left.as_micros().div_ceil(1000) as u64).max(MIN_READ_TIMEOUT);
+            if self.read_timeout != Some(left) {
+                self.stream
+                    .set_read_timeout(Some(left))
+                    .map_err(Self::map_io)?;
+                self.read_timeout = Some(left);
+            }
             match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Err(TransportError::Closed),
                 Ok(n) => {
@@ -152,6 +208,20 @@ mod tests {
         assert_eq!(f.seq, 7);
         assert_eq!(f.payload, vec![1, 2, 3]);
         assert_eq!(b.recv_timeout(Duration::from_millis(5)).unwrap(), None);
+    }
+
+    #[test]
+    fn send_all_frames_arrive_as_separate_frames_in_order() {
+        let (mut a, mut b) = socket_pair();
+        let frames: Vec<Frame> = (0..5u64)
+            .map(|seq| Frame::new(FrameKind::Job, seq, vec![seq as u8; 10 * seq as usize]))
+            .collect();
+        a.send_all(&frames).unwrap();
+        for want in &frames {
+            let got = b.recv_timeout(Duration::from_secs(1)).unwrap().unwrap();
+            assert_eq!(&got, want);
+        }
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap(), None);
     }
 
     #[test]

@@ -91,6 +91,11 @@ fn worker_main() -> i32 {
 /// frames until a `Shutdown` frame or peer hangup. Returns the process exit
 /// code. Generic over [`Transport`] so the protocol is testable in-process
 /// over [`channel_pair`](super::channel_pair) without spawning anything.
+///
+/// Replies leave in batches: the loop executes every frame already
+/// buffered, then answers them with one [`Transport::send_all`]. Before a
+/// job with an injected delay and before an injected kill it flushes the
+/// replies it holds, so a straggler never holds back the rest of its batch.
 pub fn serve<T: Transport>(mut t: T, fault: WorkerFault) -> i32 {
     let mut hello = stoch_eval::codec::Writer::new();
     hello.put_u64(std::process::id() as u64);
@@ -101,23 +106,52 @@ pub fn serve<T: Transport>(mut t: T, fault: WorkerFault) -> i32 {
     }
 
     let mut executed: u64 = 0;
+    let mut replies: Vec<Frame> = Vec::new();
+    // Send what is held; `Err` carries the exit code for a dead link.
+    let flush = |t: &mut T, replies: &mut Vec<Frame>| match t.send_all(&std::mem::take(replies)) {
+        Ok(()) => Ok(()),
+        Err(TransportError::Closed) => Err(exit::OK),
+        Err(_) => Err(exit::IO),
+    };
     loop {
-        let frame = match t.recv_timeout(Duration::from_millis(200)) {
+        // Block only with nothing to answer; otherwise drain what is
+        // buffered and flush once it runs dry.
+        let wait = if replies.is_empty() {
+            Duration::from_millis(200)
+        } else {
+            Duration::ZERO
+        };
+        let frame = match t.recv_timeout(wait) {
             Ok(Some(f)) => f,
-            Ok(None) => continue,
+            Ok(None) => match flush(&mut t, &mut replies) {
+                Ok(()) => continue,
+                Err(code) => return code,
+            },
+            // Replies still held are lost with the link; the master
+            // re-dispatches their jobs from its backups.
             Err(TransportError::Closed) => return exit::OK,
             Err(TransportError::Corrupt(_)) => return exit::CORRUPT,
             Err(TransportError::Io(_)) => return exit::IO,
         };
         match frame.kind {
-            FrameKind::Shutdown => return exit::OK,
+            FrameKind::Shutdown => {
+                let _ = flush(&mut t, &mut replies);
+                return exit::OK;
+            }
             FrameKind::Job => {
-                if fault.kill_after.is_some_and(|k| executed >= k) {
+                let kill = fault.kill_after.is_some_and(|k| executed >= k);
+                let delay = fault.delay_for(executed);
+                if kill || delay.is_some() {
+                    if let Err(code) = flush(&mut t, &mut replies) {
+                        return code;
+                    }
+                }
+                if kill {
                     // Simulated crash with the job in hand: no reply, no
                     // shutdown handshake. The master sees EOF.
                     return exit::KILLED;
                 }
-                if let Some(d) = fault.delay_for(executed) {
+                if let Some(d) = delay {
                     std::thread::sleep(d);
                 }
                 let job_idx = executed;
@@ -126,24 +160,15 @@ pub fn serve<T: Transport>(mut t: T, fault: WorkerFault) -> i32 {
                     Ok(result) => Frame::new(FrameKind::Result, frame.seq, result),
                     Err(e) => Frame::new(FrameKind::Error, frame.seq, e.to_string().into_bytes()),
                 };
-                if fault.drop_at == Some(job_idx) {
-                    continue; // executed, result discarded
-                }
-                match t.send(&reply) {
-                    Ok(()) => {}
-                    Err(TransportError::Closed) => return exit::OK,
-                    Err(_) => return exit::IO,
+                if fault.drop_at != Some(job_idx) {
+                    replies.push(reply); // else executed, result discarded
                 }
             }
             // Heartbeat probe: echo the seq so the master can match the
             // reply to its outstanding Ping (DESIGN.md §16). Injected delay
             // faults intentionally do NOT apply here — they model slow
             // *jobs*, and a delayed worker is alive, not dead.
-            FrameKind::Ping => match t.send(&Frame::new(FrameKind::Pong, frame.seq, vec![])) {
-                Ok(()) => {}
-                Err(TransportError::Closed) => return exit::OK,
-                Err(_) => return exit::IO,
-            },
+            FrameKind::Ping => replies.push(Frame::new(FrameKind::Pong, frame.seq, vec![])),
             // Hello/Result/Error/Pong are master-bound; receiving one here
             // means the peer is confused. Ignore rather than die — the
             // master's per-attempt timeout owns recovery policy.
@@ -212,6 +237,71 @@ mod tests {
             .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
             .unwrap();
         assert_eq!(handle.join().unwrap(), exit::OK);
+    }
+
+    /// Three jobs queued before the worker starts, so it finds them
+    /// buffered back to back.
+    fn serve_three_queued_jobs(fault: WorkerFault) -> (Vec<Frame>, Vec<Duration>, Vec<u8>) {
+        let (mut master, worker) = channel_pair();
+        let local = GaussianStream::new(2.0, 1.0, 5);
+        let jobs: Vec<Frame> = (10..13u64)
+            .map(|seq| {
+                let payload = wire::encode_job("gaussian.v1", seq, 1.5, &state_of(&local));
+                Frame::new(FrameKind::Job, seq, payload)
+            })
+            .collect();
+        master.send_all(&jobs).unwrap();
+        let t0 = std::time::Instant::now();
+        let handle = std::thread::spawn(move || serve(worker, fault));
+        expect_hello(&mut master);
+        let mut replies = Vec::new();
+        let mut arrived = Vec::new();
+        for _ in 0..3 {
+            let f = master
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap()
+                .unwrap();
+            arrived.push(t0.elapsed());
+            replies.push(f);
+        }
+        master
+            .send(&Frame::new(FrameKind::Shutdown, 0, vec![]))
+            .unwrap();
+        assert_eq!(handle.join().unwrap(), exit::OK);
+        let mut extended = local;
+        extended.extend(1.5);
+        (replies, arrived, state_of(&extended))
+    }
+
+    #[test]
+    fn serve_answers_back_to_back_jobs_in_seq_order() {
+        let (replies, _, want) = serve_three_queued_jobs(WorkerFault::default());
+        let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![10, 11, 12]);
+        for (f, slot) in replies.iter().zip(10u64..) {
+            assert_eq!(f.kind, FrameKind::Result);
+            let res = wire::decode_result(&f.payload).unwrap();
+            assert_eq!(res.slot, slot);
+            assert_eq!(res.state, want);
+        }
+    }
+
+    #[test]
+    fn delayed_job_flushes_earlier_replies_before_it_sleeps() {
+        let fault = WorkerFault {
+            delay: Some(crate::faults::Delay {
+                after: 1,
+                millis: 400,
+            }),
+            ..WorkerFault::default()
+        };
+        let (replies, arrived, _) = serve_three_queued_jobs(fault);
+        let seqs: Vec<u64> = replies.iter().map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![10, 11, 12]);
+        // Job 10 is answered before job 11's sleep starts; held back it
+        // would arrive after both sleeps.
+        assert!(arrived[0] < Duration::from_millis(300), "{arrived:?}");
+        assert!(arrived[2] >= Duration::from_millis(800), "{arrived:?}");
     }
 
     #[test]

@@ -30,6 +30,7 @@ use crate::rng::SeedSequence;
 ///
 /// The job owns the stream while it is in flight (it may be shipped to a
 /// worker thread); the backend hands it back in the response.
+#[derive(Clone)]
 pub struct StreamJob<S> {
     /// Caller-side slot index the stream came from (returned unchanged).
     pub slot: usize,
