@@ -12,6 +12,7 @@
 //! 2. **Service scale** — 1000 concurrent tiny runs (random priorities and
 //!    weights) time-slice over one shared worker pool; per-run
 //!    admit-to-completion latency percentiles (p50/p90/p99) are reported.
+//!    A service phase in which no dispatch merged two runs' rounds exits 1.
 //! 3. **Width sweep** — throughput (runs/second) as the fleet width grows
 //!    1→16, locating the saturation knee where extra width stops paying.
 //!
@@ -299,6 +300,13 @@ fn main() {
     if target_preemptions == 0 {
         eprintln!(
             "error: the determinism gate never preempted its target — the exhibit is vacuous"
+        );
+        std::process::exit(1);
+    }
+    if stats.merged_dispatches == 0 {
+        eprintln!(
+            "error: the service phase never merged two runs' rounds into one dispatch — \
+             the fleet is not batching"
         );
         std::process::exit(1);
     }

@@ -19,7 +19,6 @@
 use crate::algorithm::Method;
 use crate::classic::MAX_WAIT_ROUNDS;
 use crate::config::{AndersonParams, SimplexConfig};
-use crate::engine::Engine;
 use crate::result::RunResult;
 use crate::session::Driver;
 use crate::termination::{StopReason, Termination};
@@ -46,55 +45,13 @@ impl AndersonNm {
         }
     }
 
-    /// The Eq. 2.4 variance ceiling at contraction level `l`.
-    fn threshold(params: AndersonParams, l: i64) -> f64 {
+    /// The Eq. 2.4 variance ceiling at contraction level `l`. The session
+    /// waits until every vertex is below it; trials then receive one
+    /// sampling round before comparison, exactly as in MN (Algorithm 2):
+    /// both criteria gate only the vertex noise, which keeps the Table 3.2
+    /// comparison fair.
+    pub(crate) fn threshold(params: AndersonParams, l: i64) -> f64 {
         params.k1 * 2f64.powf(-(l as f64) * (1.0 + params.k2))
-    }
-
-    /// The Eq. 2.4 wait loop (shared with [`crate::session::RunSession`]):
-    /// extend every vertex until the noisiest one is below the level-scaled
-    /// ceiling. Trials then receive one sampling round before comparison,
-    /// exactly as in MN (Algorithm 2): both criteria gate only the vertex
-    /// noise, which keeps the Table 3.2 comparison fair. The loop is
-    /// recorded under the MN gate metrics, since it plays the same role.
-    pub(crate) fn wait<F: StochasticObjective>(
-        params: AndersonParams,
-        eng: &mut Engine<F>,
-    ) -> Option<StopReason> {
-        let metrics = eng.metrics().cloned();
-        let mut rounds = 0u32;
-        loop {
-            let ceiling = Self::threshold(params, eng.level().0);
-            let worst = eng
-                .vertex_estimates()
-                .iter()
-                .map(|e| e.std_err * e.std_err)
-                .fold(0.0f64, f64::max);
-            let passed = worst < ceiling;
-            if let Some(m) = &metrics {
-                m.mn_gate_checks.inc();
-                if !passed {
-                    m.mn_gate_failures.inc();
-                }
-            }
-            if passed {
-                return None;
-            }
-            if let Some(r) = eng.should_stop() {
-                return Some(r);
-            }
-            if rounds >= MAX_WAIT_ROUNDS {
-                return Some(StopReason::Stalled);
-            }
-            let ids: Vec<usize> = (0..eng.n_vertices()).collect();
-            let t0 = eng.elapsed();
-            eng.extend_round(&ids);
-            if let Some(m) = &metrics {
-                m.mn_extension_rounds.inc();
-                m.mn_equalize_time.add(eng.elapsed() - t0);
-            }
-            rounds += 1;
-        }
     }
 }
 

@@ -25,6 +25,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use mw_framework::resilience::policy_setting;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -175,12 +176,18 @@ impl CheckpointConfig {
         Some(cfg)
     }
 
-    /// Read the `NSX_CHECKPOINT` environment variable (`None` when unset or
-    /// malformed).
+    /// Read the `NSX_CHECKPOINT` environment variable (`None` when unset).
+    /// Panics naming the knob on a value [`parse`](Self::parse) rejects.
     pub fn from_env() -> Option<Self> {
-        std::env::var("NSX_CHECKPOINT")
-            .ok()
-            .and_then(|s| Self::parse(&s))
+        Self::from_setting(std::env::var("NSX_CHECKPOINT").ok().as_deref())
+    }
+
+    /// [`from_env`](Self::from_env) over an already-read value.
+    fn from_setting(value: Option<&str>) -> Option<Self> {
+        let grammar = "<path>[:every=<N>][:keep=0|1] with N >= 1";
+        policy_setting("NSX_CHECKPOINT", grammar, value, |v| {
+            Self::parse(v).map(Some)
+        })
     }
 
     /// The retention path `<path>.1`.
@@ -520,6 +527,19 @@ mod tests {
         assert!(CheckpointConfig::parse("/tmp/x:every=abc").is_none());
         assert!(CheckpointConfig::parse("/tmp/x:keep=2").is_none());
         assert!(CheckpointConfig::parse("/tmp/x:bogus").is_none());
+    }
+
+    #[test]
+    fn unset_setting_means_no_checkpointing() {
+        assert!(CheckpointConfig::from_setting(None).is_none());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid NSX_CHECKPOINT='/tmp/x:every=0': expected <path>[:every=<N>][:keep=0|1] with N >= 1"
+    )]
+    fn malformed_setting_panics_naming_the_knob_and_value() {
+        CheckpointConfig::from_setting(Some("/tmp/x:every=0"));
     }
 
     #[test]

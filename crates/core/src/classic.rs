@@ -1,6 +1,5 @@
-//! The classic Nelder–Mead iteration body (Algorithm 1), parameterized by a
-//! *trial preparation* policy (sampling performed on prospective points
-//! before they are compared).
+//! The classic Nelder–Mead iteration body (Algorithm 1) and the wait gate
+//! that MN and the Anderson criterion put in front of it.
 //!
 //! DET, MN, and the Anderson-criterion variant share this body exactly — the
 //! paper's Algorithms 1 and 2 differ only in the MN wait loop (line 4) — so
@@ -8,7 +7,7 @@
 //! and lives in [`crate::pc`]. The loop driving this body (checkpoint →
 //! stop check → gate → iteration) is [`crate::session::RunSession`].
 
-use crate::engine::{Engine, SlotId};
+use crate::engine::Engine;
 use crate::geometry::{contract, expand, reflect};
 use crate::termination::StopReason;
 use crate::trace::StepKind;
@@ -17,19 +16,56 @@ use stoch_eval::objective::StochasticObjective;
 /// Safety cap on gate/resample rounds within a single decision.
 pub(crate) const MAX_WAIT_ROUNDS: u32 = 10_000;
 
-/// One classic Nelder–Mead iteration: reflect, then expand / accept /
-/// contract / collapse. `prepare` samples a freshly-opened trial slot before
-/// it is compared. Returns `Some(stop)` when the sampling budget ran out
-/// mid-iteration, `None` after a completed (recorded) step.
-///
-/// The pre-iteration work — due checkpoints, termination checks, and the
-/// algorithm's gate (MN/Anderson wait loops) — belongs to the caller; see
-/// [`RunSession::step`](crate::session::RunSession::step).
-pub(crate) fn classic_iteration<F, P>(eng: &mut Engine<F>, mut prepare: P) -> Option<StopReason>
+/// The wait gate shared by MN (Algorithm 2 lines 4–6) and the Anderson
+/// criterion (Eq. 2.4): extend every vertex until `passed` holds. Returns a
+/// stop reason if a termination criterion fires mid-wait. Both criteria are
+/// recorded under the MN gate metrics, since they play the same role.
+pub(crate) async fn gate_wait<'a, F, P>(eng: &mut Engine<'a, F>, passed: P) -> Option<StopReason>
 where
     F: StochasticObjective,
-    P: FnMut(&mut Engine<F>, SlotId),
+    P: Fn(&Engine<'a, F>) -> bool,
 {
+    let metrics = eng.metrics().cloned();
+    let mut rounds = 0u32;
+    loop {
+        let passed = passed(eng);
+        if let Some(m) = &metrics {
+            m.mn_gate_checks.inc();
+            if !passed {
+                m.mn_gate_failures.inc();
+            }
+        }
+        if passed {
+            return None;
+        }
+        if let Some(r) = eng.should_stop() {
+            return Some(r);
+        }
+        if rounds >= MAX_WAIT_ROUNDS {
+            return Some(StopReason::Stalled);
+        }
+        let ids: Vec<usize> = (0..eng.n_vertices()).collect();
+        let t0 = eng.elapsed();
+        eng.extend_round(&ids).await;
+        if let Some(m) = &metrics {
+            m.mn_extension_rounds.inc();
+            m.mn_equalize_time.add(eng.elapsed() - t0);
+        }
+        rounds += 1;
+    }
+}
+
+/// One classic Nelder–Mead iteration: reflect, then expand / accept /
+/// contract / collapse. Each freshly-opened trial slot gets one sampling
+/// round before it is compared. Returns `Some(stop)` when the sampling
+/// budget ran out mid-iteration, `None` after a completed (recorded) step.
+///
+/// The pre-iteration work — due checkpoints, termination checks, and the
+/// algorithm's gate ([`gate_wait`]) — belongs to the caller; see
+/// [`RunSession::step`](crate::session::RunSession::step).
+pub(crate) async fn classic_iteration<F: StochasticObjective>(
+    eng: &mut Engine<'_, F>,
+) -> Option<StopReason> {
     let coeff = eng.config().coefficients;
     let ord = eng.ordering();
     let cent = eng.centroid_excluding(ord.max);
@@ -37,7 +73,7 @@ where
     // Reflection (Algorithm 1 line 3).
     let refl_x = reflect(&cent, eng.point(ord.max), coeff.alpha);
     let refl = eng.open_trial(refl_x);
-    prepare(eng, refl);
+    eng.extend_round(&[refl]).await;
     if let Some(r) = eng.budget_stop() {
         return Some(r);
     }
@@ -47,7 +83,7 @@ where
         // Expansion branch (lines 4–10).
         let exp_x = expand(&cent, eng.point(refl), coeff.gamma);
         let exp = eng.open_trial(exp_x);
-        prepare(eng, exp);
+        eng.extend_round(&[exp]).await;
         if eng.estimate(exp).value < eng.estimate(refl).value {
             eng.replace_vertex(ord.max, exp);
             eng.level_mut().on_expand();
@@ -68,7 +104,7 @@ where
         // Contraction branch (lines 15–23).
         let con_x = contract(&cent, eng.point(ord.max), coeff.beta);
         let con = eng.open_trial(con_x);
-        prepare(eng, con);
+        eng.extend_round(&[con]).await;
         if eng.estimate(con).value < eng.estimate(ord.max).value {
             eng.replace_vertex(ord.max, con);
             eng.level_mut().on_contract();
@@ -76,7 +112,7 @@ where
             eng.record(StepKind::Contract);
         } else {
             eng.drop_trials();
-            eng.collapse(ord.min);
+            eng.collapse(ord.min).await;
             eng.record(StepKind::Collapse);
         }
     }

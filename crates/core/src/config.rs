@@ -440,7 +440,7 @@ impl SimplexConfig {
     /// non-default retry policy. Customized runs get their own pool so their
     /// chaos and retry behaviour cannot leak into — or starve — other runs
     /// sharing the process-wide pool; a multi-run scheduler uses the same
-    /// predicate to keep such runs off the shared batch gate.
+    /// predicate to keep such runs off the shared fleet.
     pub fn customized(&self) -> bool {
         self.faults.is_some()
             || self.respawn_budget.is_some()

@@ -10,6 +10,11 @@
 //! simplex logic; each slot corresponds to a worker/vertex whose sampling
 //! runs concurrently, so a "round" that extends several slots costs the
 //! maximum of the individual extensions in parallel time.
+//!
+//! Sampling is the one place a run can suspend: the decision layers are
+//! `async fn`s, and only the round future in `Engine::dispatch` can return
+//! `Pending` — when a driver polls the run instead of letting it sample in
+//! place ([`RunSession::poll`](crate::session::RunSession::poll)).
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::{BreakdownAction, NonFinitePolicy, SamplingPolicy, SimplexConfig};
@@ -18,7 +23,10 @@ use crate::metrics::EngineMetrics;
 use crate::result::{RunMetrics, RunNote, RunResult};
 use crate::termination::{StopReason, Termination};
 use crate::trace::{StepKind, Trace, TracePoint};
-use std::sync::Arc;
+use std::future::{poll_fn, Future};
+use std::pin::pin;
+use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Waker};
 use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::clock::{TimeMode, VirtualClock};
 use stoch_eval::codec::{CodecError, Reader, Writer};
@@ -40,6 +48,39 @@ impl<S> Slot<S> {
     fn stream(&self) -> &S {
         self.stream.as_ref().expect("stream in flight")
     }
+}
+
+/// Where a polled run posts a round and where its driver hands it back
+/// extended: one slot, holding whichever side of the round is in transit.
+pub(crate) type Mailbox<S> = Arc<Mutex<Option<Vec<StreamJob<S>>>>>;
+
+/// Run a future that cannot suspend — a run sampling in place — to its
+/// result.
+pub(crate) fn now<T>(fut: impl Future<Output = T>) -> T {
+    let mut cx = Context::from_waker(Waker::noop());
+    match pin!(fut).poll(&mut cx) {
+        Poll::Ready(v) => v,
+        Poll::Pending => unreachable!("a run sampling in place never suspends"),
+    }
+}
+
+/// The round future: post `jobs` to `mailbox` on the first poll, then
+/// resolve once the driver has delivered them back extended.
+fn round<S>(
+    mailbox: &Mailbox<S>,
+    jobs: Vec<StreamJob<S>>,
+) -> impl Future<Output = Vec<StreamJob<S>>> + '_ {
+    let mut jobs = Some(jobs);
+    poll_fn(move |_| {
+        let mut slot = mailbox.lock().expect("run mailbox poisoned");
+        match jobs.take() {
+            Some(posted) => {
+                *slot = Some(posted);
+                Poll::Pending
+            }
+            None => slot.take().map_or(Poll::Pending, Poll::Ready),
+        }
+    })
 }
 
 /// Execution engine: simplex state + sampling + accounting.
@@ -74,6 +115,9 @@ pub struct Engine<'a, F: StochasticObjective> {
     /// Metrics summary carried over a resume, replayed into the registry
     /// handles by [`Engine::attach_metrics`].
     restored_metrics: Option<RunMetrics>,
+    /// `Some` while a driver polls the run: rounds are posted here instead
+    /// of sampling in place on `backend`.
+    pub(crate) mailbox: Option<Mailbox<F::Stream>>,
 }
 
 /// Panic on a run spec [`SimplexConfig::validate_start`] refuses.
@@ -106,9 +150,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     }
 
     /// Like [`Engine::new`], but dispatching rounds on an injected backend
-    /// instead of the one `cfg` would build. This is the seam a multi-run
-    /// scheduler uses to multiplex many engines over one shared (or
-    /// batch-gated) backend.
+    /// instead of the one `cfg` would build: the seam that puts a run on a
+    /// shared or dedicated backend.
     ///
     /// # Panics
     /// On a malformed initial simplex, invalid coefficients or an invalid
@@ -153,12 +196,13 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             poisoned: false,
             forced_robust: false,
             restored_metrics: None,
+            mailbox: None,
         };
         for i in 0..eng.n_vertices {
             eng.configure_slot_stream(i);
         }
         let ids: Vec<SlotId> = (0..eng.n_vertices).collect();
-        eng.extend_round(&ids);
+        now(eng.extend_round(&ids));
         eng
     }
 
@@ -246,11 +290,6 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         self.slots[id].stream().estimate()
     }
 
-    /// The sampling backend executing this engine's rounds.
-    pub fn backend(&self) -> &dyn SamplingBackend<F::Stream> {
-        self.backend.as_ref()
-    }
-
     /// Estimates at all simplex vertices (ids `0..n_vertices`).
     pub fn vertex_estimates(&self) -> Vec<Estimate> {
         (0..self.n_vertices).map(|i| self.estimate(i)).collect()
@@ -331,12 +370,12 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         }
     }
 
-    /// Execute a planned round on the backend: streams move into jobs, the
-    /// batch runs (possibly on worker threads), and the returned streams are
-    /// restored with clock/total-sampling charges applied in submission
-    /// order — the fixed order that keeps accounting bit-identical across
-    /// backends.
-    fn dispatch(&mut self, plan: Vec<(SlotId, f64)>) {
+    /// Execute a planned round: streams move into jobs, the batch runs
+    /// (in place on the backend, or posted through the mailbox while a
+    /// driver polls the run), and the returned streams are restored with
+    /// clock/total-sampling charges applied in submission order — the fixed
+    /// order that keeps accounting bit-identical across backends.
+    async fn dispatch(&mut self, plan: Vec<(SlotId, f64)>) {
         if plan.is_empty() {
             return;
         }
@@ -355,7 +394,11 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             })
             .collect();
         self.clock.begin_round();
-        for job in self.backend.extend_batch(jobs) {
+        let done = match &self.mailbox {
+            None => self.backend.extend_batch(jobs),
+            Some(mailbox) => round(mailbox, jobs).await,
+        };
+        for job in done {
             self.clock.charge(job.dt);
             self.total_sampling += job.dt;
             self.slots[job.slot].stream = Some(job.stream);
@@ -424,9 +467,9 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
 
     /// Extend sampling for one concurrent round (see `Engine::plan_round`
     /// for which slots extend and by how much).
-    pub fn extend_round(&mut self, ids: &[SlotId]) {
+    pub async fn extend_round(&mut self, ids: &[SlotId]) {
         let plan = self.plan_round(ids);
-        self.dispatch(plan);
+        self.dispatch(plan).await;
     }
 
     /// Keep extending slot `id` (alone) until its standard error is at most
@@ -436,7 +479,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// remaining wall-time budget, so the clock can never overshoot
     /// `max_time` mid-wait. Returns the final estimate plus the stop reason
     /// if the budget ran out (or the wait stalled) before the target was
-    /// reached.
+    /// reached. Samples in place on the engine's backend.
     pub fn extend_until(&mut self, id: SlotId, target: f64) -> (Estimate, Option<StopReason>) {
         let mut guard = 0u32;
         loop {
@@ -457,7 +500,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
                     *dt = dt.min(remaining);
                 }
             }
-            self.dispatch(plan);
+            now(self.dispatch(plan));
             guard += 1;
         }
     }
@@ -482,7 +525,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// Collapse the simplex towards vertex `keep` (Algorithm 1 lines 19–22):
     /// every other vertex moves halfway towards it and restarts sampling
     /// from scratch at its new location (one concurrent round).
-    pub fn collapse(&mut self, keep: usize) {
+    pub async fn collapse(&mut self, keep: usize) {
         let beta = self.cfg.coefficients.beta;
         let keep_x = self.slots[keep].x.clone();
         let mut fresh: Vec<SlotId> = Vec::new();
@@ -499,7 +542,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             self.configure_slot_stream(i);
             fresh.push(i);
         }
-        self.extend_round(&fresh);
+        self.extend_round(&fresh).await;
         self.level.on_collapse(self.dim());
     }
 
@@ -847,6 +890,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             poisoned,
             forced_robust,
             restored_metrics,
+            mailbox: None,
         })
     }
 
@@ -1040,8 +1084,8 @@ mod tests {
         let obj = Noisy::new(Sphere::new(2), ZeroNoise);
         let mut eng = engine_for(&obj);
         let t = eng.open_trial(vec![0.25, 0.25]);
-        eng.extend_round(&[t]);
-        eng.extend_round(&[t]);
+        now(eng.extend_round(&[t]));
+        now(eng.extend_round(&[t]));
         let before = eng.estimate(t).time;
         eng.replace_vertex(2, t);
         eng.drop_trials();
@@ -1055,9 +1099,9 @@ mod tests {
         let obj = Noisy::new(Sphere::new(2), ZeroNoise);
         let mut eng = engine_for(&obj);
         // Age vertex 1's stream so we can see it reset.
-        eng.extend_round(&[1]);
+        now(eng.extend_round(&[1]));
         assert!(eng.estimate(1).time > 1.0);
-        eng.collapse(0);
+        now(eng.collapse(0));
         assert_eq!(eng.point(1), &[0.5, 0.0]);
         assert_eq!(eng.point(2), &[0.0, 0.5]);
         assert_eq!(eng.estimate(1).time, 1.0); // fresh stream, one dt0 sample

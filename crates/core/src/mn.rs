@@ -19,49 +19,8 @@
 //! concurrently.
 
 use crate::algorithm::Method;
-use crate::classic::{internal_variance, max_noise_variance, MAX_WAIT_ROUNDS};
 use crate::config::{MnParams, SimplexConfig};
-use crate::engine::Engine;
 use crate::session::Driver;
-use crate::termination::StopReason;
-use stoch_eval::objective::StochasticObjective;
-
-/// The MN wait loop shared by [`MaxNoise`] and [`crate::pcmn::PcMn`]
-/// (Algorithm 2 lines 4–6): extend every vertex until the noisiest one is
-/// quiet relative to the simplex's internal spread. Returns a stop reason if
-/// a termination criterion fires mid-wait.
-pub(crate) fn mn_wait<F: StochasticObjective>(k: f64, eng: &mut Engine<F>) -> Option<StopReason> {
-    let metrics = eng.metrics().cloned();
-    let mut rounds = 0u32;
-    loop {
-        let values = eng.vertex_values();
-        let gate = k * internal_variance(&values);
-        let passed = max_noise_variance(eng) <= gate;
-        if let Some(m) = &metrics {
-            m.mn_gate_checks.inc();
-            if !passed {
-                m.mn_gate_failures.inc();
-            }
-        }
-        if passed {
-            return None;
-        }
-        if let Some(r) = eng.should_stop() {
-            return Some(r);
-        }
-        if rounds >= MAX_WAIT_ROUNDS {
-            return Some(StopReason::Stalled);
-        }
-        let ids: Vec<usize> = (0..eng.n_vertices()).collect();
-        let t0 = eng.elapsed();
-        eng.extend_round(&ids);
-        if let Some(m) = &metrics {
-            m.mn_extension_rounds.inc();
-            m.mn_equalize_time.add(eng.elapsed() - t0);
-        }
-        rounds += 1;
-    }
-}
 
 /// The max-noise algorithm (paper Algorithm 2).
 #[derive(Debug, Clone, Default)]

@@ -26,8 +26,8 @@ const MAX_RESAMPLE_ROUNDS: u32 = 20_000;
 /// termination criterion fired mid-iteration.
 ///
 /// Shared with [`crate::pcmn::PcMn`], which prepends the MN gate.
-pub(crate) fn pc_iteration<F: StochasticObjective>(
-    eng: &mut Engine<F>,
+pub(crate) async fn pc_iteration<F: StochasticObjective>(
+    eng: &mut Engine<'_, F>,
     params: PcParams,
 ) -> Option<StopReason> {
     let coeff = eng.config().coefficients;
@@ -58,7 +58,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
     let cent = eng.centroid_excluding(ord.max);
     let refl_x = reflect(&cent, eng.point(ord.max), coeff.alpha);
     let refl = eng.open_trial(refl_x);
-    eng.extend_round(&[refl]);
+    eng.extend_round(&[refl]).await;
 
     // Stage R: decide condition 1 (reflection confidently below smax) or
     // condition 5 (confidently at/above); resample {ref, smax} otherwise.
@@ -87,7 +87,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
             return Some(StopReason::Stalled);
         }
         let t0 = eng.elapsed();
-        eng.extend_round(&[refl, ord.smax]);
+        eng.extend_round(&[refl, ord.smax]).await;
         undecided(1, 5, eng.elapsed() - t0);
         rounds += 1;
     };
@@ -116,7 +116,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
             // reflection) or condition 4; resample {exp, ref} otherwise.
             let exp_x = expand(&cent, eng.point(refl), coeff.gamma);
             let exp = eng.open_trial(exp_x);
-            eng.extend_round(&[exp]);
+            eng.extend_round(&[exp]).await;
             let mut rounds = 0u32;
             loop {
                 let ee = eng.estimate(exp);
@@ -145,7 +145,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
                     return Some(StopReason::Stalled);
                 }
                 let t0 = eng.elapsed();
-                eng.extend_round(&[exp, refl]);
+                eng.extend_round(&[exp, refl]).await;
                 undecided(3, 4, eng.elapsed() - t0);
                 rounds += 1;
             }
@@ -156,7 +156,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
             // {con, max} otherwise.
             let con_x = contract(&cent, eng.point(ord.max), coeff.beta);
             let con = eng.open_trial(con_x);
-            eng.extend_round(&[con]);
+            eng.extend_round(&[con]).await;
             let mut rounds = 0u32;
             loop {
                 let ec = eng.estimate(con);
@@ -172,7 +172,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
                 if confident_less(ec, em, k, conds.uses_bars(7)) == Decision::No {
                     decided(7, 6);
                     eng.drop_trials();
-                    eng.collapse(ord.min);
+                    eng.collapse(ord.min).await;
                     eng.record(StepKind::Collapse);
                     return None; // condition 7
                 }
@@ -185,7 +185,7 @@ pub(crate) fn pc_iteration<F: StochasticObjective>(
                     return Some(StopReason::Stalled);
                 }
                 let t0 = eng.elapsed();
-                eng.extend_round(&[con, ord.max]);
+                eng.extend_round(&[con, ord.max]).await;
                 undecided(6, 7, eng.elapsed() - t0);
                 rounds += 1;
             }

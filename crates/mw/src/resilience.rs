@@ -3,7 +3,7 @@
 //!
 //! The paper's MW deployment assumes workers answer eventually and at
 //! roughly uniform latency; at service scale a single slow worker stalls
-//! every run rendezvoused into the shared batch. Three policies close that
+//! every run merged into the shared batch. Three policies close that
 //! gap without touching the determinism contract:
 //!
 //! * [`HedgePolicy`] — when a job's in-flight latency exceeds a
@@ -260,10 +260,10 @@ impl HedgePolicy {
     }
 }
 
-/// A policy knob's value: the default when unset, otherwise `parse` of it.
-/// Panics naming the knob, the value and the grammar when `parse` rejects
-/// the value.
-fn policy_setting<T: Default>(
+/// A knob's value: the default when unset, otherwise `parse` of it. Panics
+/// naming the knob, the value and the grammar when `parse` rejects the
+/// value.
+pub fn policy_setting<T: Default>(
     knob: &str,
     grammar: &str,
     value: Option<&str>,

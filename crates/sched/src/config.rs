@@ -1,5 +1,7 @@
 //! Scheduler configuration and the `NSX_SCHED` environment grammar.
 
+use mw_framework::resilience::policy_setting;
+
 /// Tunables for the [`Scheduler`](crate::Scheduler)'s tick loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedConfig {
@@ -39,13 +41,16 @@ impl SchedConfig {
         Some(cfg)
     }
 
-    /// Read `NSX_SCHED` from the environment; defaults when unset or
-    /// malformed.
+    /// Read `NSX_SCHED` from the environment (the default when unset).
+    /// Panics naming the knob on a value [`parse`](Self::parse) rejects.
     pub fn from_env() -> Self {
-        std::env::var("NSX_SCHED")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or_default()
+        Self::from_setting(std::env::var("NSX_SCHED").ok().as_deref())
+    }
+
+    /// [`from_env`](Self::from_env) over an already-read value.
+    fn from_setting(value: Option<&str>) -> Self {
+        let grammar = "[width=<N>][:quantum=<R>] with N, R >= 1";
+        policy_setting("NSX_SCHED", grammar, value, Self::parse)
     }
 }
 
@@ -86,5 +91,13 @@ mod tests {
         assert_eq!(SchedConfig::parse("width=0"), None);
         assert_eq!(SchedConfig::parse("quantum=x"), None);
         assert_eq!(SchedConfig::parse("width"), None);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "invalid NSX_SCHED='widht=8': expected [width=<N>][:quantum=<R>] with N, R >= 1"
+    )]
+    fn malformed_setting_panics_naming_the_knob_and_value() {
+        SchedConfig::from_setting(Some("widht=8"));
     }
 }

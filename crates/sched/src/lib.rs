@@ -10,10 +10,13 @@
 //!   [`SchedConfig::quantum`] simplex rounds over at most
 //!   [`SchedConfig::width`] resident runs, picking by minimum weighted
 //!   virtual runtime.
-//! * [`FleetBackend`] is the shared sampling service: each tick it merges
-//!   the concurrent runs' sampling rounds into single batches on one inner
+//! * One thread drives the fleet: each tick polls the selected runs
+//!   ([`RunSession::poll`](noisy_simplex::session::RunSession::poll)),
+//!   merges the sampling rounds they post into single batches on one inner
 //!   [`SamplingBackend`](stoch_eval::backend::SamplingBackend) — one
-//!   dispatch per rendezvous instead of one per run.
+//!   dispatch per round of the tick instead of one per run — and hands each
+//!   run its share back. Runs with a dedicated (chaos) backend step inline
+//!   on it. The tick spawns no threads.
 //! * Preemption uses the checkpoint codec: a suspended run becomes bytes in
 //!   memory (or a per-run file via
 //!   [`CheckpointConfig::for_run`](noisy_simplex::checkpoint::CheckpointConfig::for_run))
@@ -31,11 +34,9 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fleet;
 pub mod scheduler;
 
 pub use config::SchedConfig;
-pub use fleet::{FleetBackend, FleetTicket};
 pub use scheduler::{RunSpec, Scheduler};
 
 #[cfg(test)]
@@ -45,12 +46,14 @@ mod tests {
     use noisy_simplex::result::RunResult;
     use noisy_simplex::session::{Driver, RunSession};
     use noisy_simplex::termination::Termination;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
     use stoch_eval::backend::SerialBackend;
     use stoch_eval::clock::TimeMode;
-    use stoch_eval::functions::Rosenbrock;
+    use stoch_eval::functions::{Rosenbrock, Sphere};
     use stoch_eval::noise::ConstantNoise;
-    use stoch_eval::sampler::Noisy;
+    use stoch_eval::objective::{Estimate, SampleStream, StochasticObjective};
+    use stoch_eval::sampler::{Noisy, NoisyStream};
 
     fn serial_cfg() -> SimplexConfig {
         SimplexConfig {
@@ -165,6 +168,71 @@ mod tests {
             let got = sched.result(i as u64).unwrap();
             assert_bit_identical(solo, got, &format!("driver {i}"));
         }
+    }
+
+    /// Noisy sphere whose streams log the thread of every extend in `SEEN`
+    /// (one test only reads it).
+    struct ThreadSpy(Noisy<Sphere, ConstantNoise>);
+
+    #[derive(Clone)]
+    struct SpyStream(NoisyStream);
+    static SEEN: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
+
+    impl SampleStream for SpyStream {
+        fn extend(&mut self, dt: f64) {
+            SEEN.lock().unwrap().push(std::thread::current().id());
+            self.0.extend(dt);
+        }
+        fn estimate(&self) -> Estimate {
+            self.0.estimate()
+        }
+    }
+
+    impl StochasticObjective for ThreadSpy {
+        type Stream = SpyStream;
+        fn dim(&self) -> usize {
+            self.0.dim()
+        }
+        fn open(&self, x: &[f64], seed: u64) -> SpyStream {
+            SpyStream(self.0.open(x, seed))
+        }
+    }
+
+    #[test]
+    fn one_tick_extends_on_the_callers_thread_and_merges_rounds() {
+        let spy = ThreadSpy(Noisy::new(Sphere::new(2), ConstantNoise(1.0)));
+        let fleet = SchedConfig {
+            width: 4,
+            quantum: 1000,
+        };
+        let mut sched = Scheduler::new(fleet, Arc::new(SerialBackend));
+        for s in 0..4 {
+            let mn = Driver::Mn(Default::default());
+            let spec = RunSpec::new(
+                &spy,
+                init(s),
+                serial_cfg(),
+                term(8),
+                TimeMode::Parallel,
+                s,
+                mn,
+            );
+            sched.admit(spec).unwrap();
+        }
+        assert!(!sched.tick(), "one tick finishes all four runs");
+
+        let seen = SEEN.lock().unwrap();
+        let caller = std::thread::current().id();
+        assert!(!seen.is_empty() && seen.iter().all(|&t| t == caller));
+        // A run samples at least one round per step (its constructor's round
+        // covers the final, sampling-free one): fewer dispatches means merges.
+        let steps: u64 = (0..4)
+            .filter_map(|id| sched.run_registry(id))
+            .map(|r| r.counter("sched.run.rounds").get())
+            .sum();
+        let svc = sched.service_registry();
+        assert!(svc.counter("sched.fleet.merged_dispatches").get() >= 1);
+        assert!(svc.counter("sched.fleet.dispatches").get() < steps);
     }
 
     #[test]

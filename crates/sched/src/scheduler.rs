@@ -1,6 +1,8 @@
 //! The multi-run scheduler: admits runs with priority and fair-share
-//! weights, time-slices them over one shared [`FleetBackend`], and preempts
-//! via the checkpoint codec when more runs are ready than the fleet width.
+//! weights, time-slices them from the caller's thread over one shared inner
+//! backend (merging the rounds they post, see [`Scheduler::tick`]), and
+//! preempts via the checkpoint codec when more runs are ready than the
+//! fleet width.
 //!
 //! # Fairness policy
 //!
@@ -28,20 +30,19 @@
 //! time-sliced against 999 neighbours, or was preempted and resumed
 //! mid-flight. Three mechanisms compose to guarantee it: the backend
 //! determinism contract (jobs independent, submission order preserved)
-//! makes merged fleet batches equal solo batches; `RunSession::step`
-//! performs the same calls in the same order as a solo loop; and the
-//! checkpoint codec round-trips the full master-side state bit-exactly.
+//! makes merged fleet batches equal solo batches; a polled step performs
+//! the same calls in the same order as a solo loop; and the checkpoint
+//! codec round-trips the full master-side state bit-exactly.
 
 use crate::config::SchedConfig;
-use crate::fleet::{FleetBackend, FleetTicket};
 use noisy_simplex::config::{ConfigError, SimplexConfig};
 use noisy_simplex::result::{RunNote, RunResult};
-use noisy_simplex::session::{Driver, RunSession, SessionStatus};
+use noisy_simplex::session::{Driver, Progress, RunSession, SessionStatus};
 use noisy_simplex::termination::Termination;
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::Arc;
 use std::time::Instant;
-use stoch_eval::backend::SamplingBackend;
+use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::clock::TimeMode;
 use stoch_eval::objective::StochasticObjective;
 
@@ -151,10 +152,33 @@ struct Entry<'a, F: StochasticObjective> {
     was_quarantined: bool,
 }
 
+/// `sched.fleet.*`: dispatches on the inner backend, how many of those
+/// merged more than one run's round, total jobs shipped, and the largest
+/// combined batch.
+struct FleetObs {
+    dispatches: Arc<Counter>,
+    merged_dispatches: Arc<Counter>,
+    jobs: Arc<Counter>,
+    batch_jobs_hwm: Arc<Gauge>,
+}
+
+impl FleetObs {
+    /// One dispatch on the inner backend carrying `rounds` runs' rounds.
+    fn record(&self, rounds: usize, jobs: usize) {
+        self.dispatches.inc();
+        if rounds > 1 {
+            self.merged_dispatches.inc();
+        }
+        self.jobs.add(jobs as u64);
+        self.batch_jobs_hwm.record(jobs as u64);
+    }
+}
+
 /// The shared-fleet scheduling service. See the module docs.
 pub struct Scheduler<'a, F: StochasticObjective> {
     cfg: SchedConfig,
-    fleet: Arc<FleetBackend<F::Stream>>,
+    inner: Arc<dyn SamplingBackend<F::Stream>>,
+    fleet: FleetObs,
     service: MetricsRegistry,
     entries: Vec<Entry<'a, F>>,
     ticks: Arc<Counter>,
@@ -171,10 +195,15 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
     /// A scheduler dispatching the fleet's merged batches on `inner`.
     pub fn new(cfg: SchedConfig, inner: Arc<dyn SamplingBackend<F::Stream>>) -> Self {
         let service = MetricsRegistry::new();
-        let fleet = Arc::new(FleetBackend::with_registry(inner, &service));
         Scheduler {
             cfg,
-            fleet,
+            inner,
+            fleet: FleetObs {
+                dispatches: service.counter("sched.fleet.dispatches"),
+                merged_dispatches: service.counter("sched.fleet.merged_dispatches"),
+                jobs: service.counter("sched.fleet.jobs"),
+                batch_jobs_hwm: service.gauge("sched.fleet.batch_jobs_hwm"),
+            },
             ticks: service.counter("sched.ticks"),
             admitted: service.counter("sched.runs_admitted"),
             completed: service.counter("sched.runs_completed"),
@@ -263,9 +292,15 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
     }
 
     /// Run one scheduling tick: select up to `width` ready runs by minimum
-    /// vruntime, step each `quantum` rounds concurrently (fleet runs merge
-    /// their sampling through the gate), then preempt unfinished runs if
-    /// contention remains. Returns `false` once every run is done.
+    /// vruntime, advance each by `quantum` steps, then preempt unfinished
+    /// runs if contention remains. Returns `false` once every run is done.
+    ///
+    /// The tick spawns no threads. It polls each run
+    /// ([`RunSession::poll`]) until the run posts a sampling round or its
+    /// slice is over, runs every posted round as **one** `extend_batch` on
+    /// the inner backend, hands each run its share back
+    /// ([`RunSession::deliver`]), and repeats. Runs with a dedicated (chaos)
+    /// backend sample on it inline.
     pub fn tick(&mut self) -> bool {
         let mut ready = self.ready_indices();
         if ready.is_empty() {
@@ -282,11 +317,11 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
         let width = self.cfg.width.max(1).min(ready.len());
         let contention = ready.len() > width;
         let quantum = self.cfg.quantum.max(1);
-        let selected = &ready[..width];
 
         // Activate: build/resume sessions and account for wait time.
-        let mut batch: Vec<(usize, Box<RunSession<'a, F>>, bool)> = Vec::with_capacity(width);
-        for &i in selected {
+        // Each slice: (entry, session, steps taken this tick).
+        let mut slices: Vec<(usize, Box<RunSession<'a, F>>, u64)> = Vec::with_capacity(width);
+        for &i in &ready[..width] {
             let e = &mut self.entries[i];
             if let Some(since) = e.ready_since.take() {
                 e.wait_nanos.add(since.elapsed().as_nanos() as u64);
@@ -296,17 +331,19 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                 self.admission_latency
                     .add(e.admitted_at.elapsed().as_nanos() as u64);
             }
-            let backend: Arc<dyn SamplingBackend<F::Stream>> = match &e.dedicated {
-                Some(b) => Arc::clone(b),
-                None => self.fleet.clone() as Arc<dyn SamplingBackend<F::Stream>>,
-            };
-            let uses_fleet = e.dedicated.is_none();
+            let backend = Arc::clone(e.dedicated.as_ref().unwrap_or(&self.inner));
             let session = match std::mem::replace(&mut e.state, State::Pending) {
                 State::Pending => {
                     let init = e
                         .init
                         .take()
                         .expect("pending run without an initial simplex");
+                    // The constructor samples the d + 1 vertices in place:
+                    // for a fleet run, one unmerged dispatch on the inner
+                    // backend.
+                    if e.dedicated.is_none() {
+                        self.fleet.record(1, init.len());
+                    }
                     Box::new(RunSession::with_backend(
                         e.objective,
                         init,
@@ -334,45 +371,44 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                     unreachable!("done and quarantined runs are filtered from the ready set")
                 }
             };
-            batch.push((i, session, uses_fleet));
+            slices.push((i, session, 0));
         }
 
-        // Register every fleet participant before any thread starts, so the
-        // rendezvous gate knows the tick's population.
-        let fleet = Arc::clone(&self.fleet);
-        for (_, _, uses_fleet) in &batch {
-            if *uses_fleet {
-                fleet.enter();
+        // Poll each run until it posts a round or its slice is over. A
+        // dedicated run's round runs inline on its own backend; the fleet
+        // runs that posted are kept, in posting order, for one merged batch.
+        let mut polled: Vec<_> = slices
+            .iter_mut()
+            .map(|(i, session, steps)| (self.entries[*i].dedicated.clone(), session, steps))
+            .collect();
+        loop {
+            let mut rounds = Vec::with_capacity(polled.len());
+            polled.retain_mut(|(dedicated, session, steps)| loop {
+                match (session.poll(), dedicated.as_ref()) {
+                    (Progress::NeedSamples(jobs), Some(own)) => {
+                        session.deliver(own.extend_batch(jobs))
+                    }
+                    (Progress::NeedSamples(jobs), None) => {
+                        rounds.push(jobs);
+                        return true;
+                    }
+                    (Progress::Stepped(status), _) => {
+                        **steps += 1;
+                        if status == SessionStatus::Finished || **steps == quantum {
+                            return false;
+                        }
+                    }
+                }
+            });
+            if rounds.is_empty() {
+                break;
+            }
+            for ((_, session, _), jobs) in polled.iter_mut().zip(self.extend_merged(rounds)) {
+                session.deliver(jobs);
             }
         }
-        let finished_slices: Vec<(usize, Box<RunSession<'a, F>>, u64)> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batch
-                    .into_iter()
-                    .map(|(i, mut session, uses_fleet)| {
-                        let fleet = &fleet;
-                        scope.spawn(move || {
-                            // Leaves the gate even if the objective panics,
-                            // so neighbours are not stranded mid-rendezvous.
-                            let _ticket = uses_fleet.then(|| FleetTicket::adopt(fleet.as_ref()));
-                            let mut steps = 0u64;
-                            for _ in 0..quantum {
-                                steps += 1;
-                                if session.step() == SessionStatus::Finished {
-                                    break;
-                                }
-                            }
-                            (i, session, steps)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("scheduler worker panicked"))
-                    .collect()
-            });
 
-        for (i, session, steps) in finished_slices {
+        for (i, session, steps) in slices {
             let e = &mut self.entries[i];
             e.vruntime += steps as f64 / e.effective_weight;
             e.rounds.add(steps);
@@ -435,6 +471,36 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
         self.entries
             .iter()
             .any(|e| !matches!(e.state, State::Done(_)))
+    }
+
+    /// Run every posted round as one batch on the inner backend and split
+    /// the results back per round, in posting order.
+    fn extend_merged(
+        &self,
+        rounds: Vec<Vec<StreamJob<F::Stream>>>,
+    ) -> Vec<Vec<StreamJob<F::Stream>>> {
+        let lens: Vec<usize> = rounds.iter().map(Vec::len).collect();
+        let mut slots = Vec::new();
+        // Tag each job with a batch-unique slot so the inner backend never
+        // sees two runs' jobs colliding on one slot index; the originals are
+        // restored before the split.
+        let combined: Vec<_> = (0..)
+            .zip(rounds.into_iter().flatten())
+            .map(|(slot, job)| {
+                slots.push(job.slot);
+                StreamJob { slot, ..job }
+            })
+            .collect();
+        self.fleet.record(lens.len(), combined.len());
+        let mut done = self
+            .inner
+            .extend_batch(combined)
+            .into_iter()
+            .zip(slots)
+            .map(|(job, slot)| StreamJob { slot, ..job });
+        lens.into_iter()
+            .map(|len| done.by_ref().take(len).collect())
+            .collect()
     }
 
     /// Tick until every schedulable run has finished. Quarantined runs stay
