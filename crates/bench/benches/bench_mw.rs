@@ -4,8 +4,14 @@
 //! degradation... attributed to the I/O").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mw_framework::{MwDriver, MwPool, MwTask, WorkerCtx};
+use mw_framework::{
+    default_respawn_budget, FaultPlan, MwDriver, MwPool, MwTask, RetryPolicy, ThreadedBackend,
+    WorkerCtx,
+};
 use std::hint::black_box;
+use stoch_eval::{
+    ConstantNoise, Noisy, Rosenbrock, SamplingBackend, StochasticObjective, StreamJob,
+};
 
 struct NoopTask;
 impl MwTask for NoopTask {
@@ -40,6 +46,29 @@ fn bench_mw(c: &mut Criterion) {
     }
     c.bench_function("server_client_fanout_ns6", |b| {
         b.iter(|| black_box(driver_ns.dispatch_all(vec![ClientTask])))
+    });
+
+    // One sampling round through the threaded backend's dispatch loop: 14
+    // extensions of noisy 2-d Rosenbrock, the mean round size of the
+    // multi-run service's merged dispatches, on two workers. Nearly all of
+    // it is dispatch: the extensions themselves take about a microsecond.
+    let backend = ThreadedBackend::with_options(
+        2,
+        FaultPlan::none(),
+        RetryPolicy::default(),
+        default_respawn_budget(2),
+        None,
+    );
+    let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(10.0));
+    let jobs: Vec<_> = (0..14)
+        .map(|i| StreamJob {
+            slot: i,
+            dt: 1.0,
+            stream: obj.open(&[0.1 * i as f64, -0.5], 7 + i as u64),
+        })
+        .collect();
+    c.bench_function("threaded_round_14_jobs", |b| {
+        b.iter(|| black_box(backend.extend_batch(jobs.clone())))
     });
 }
 

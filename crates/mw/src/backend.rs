@@ -15,17 +15,19 @@
 //! backend (`crate::dispatch`): retry from master-side stream clones,
 //! per-attempt deadlines, straggler hedging (`NSX_HEDGE`, DESIGN.md §16)
 //! and degradation to inline execution once the pool has failed
-//! (DESIGN.md §9). This file supplies the thread side of that loop: how a
-//! job ships to an [`MwPool`] worker, and how the master waits on the
-//! pool's completion notifier.
+//! (DESIGN.md §9). This file supplies the thread side of that loop: a round
+//! ships to the [`MwPool`] as one shared round that up to one worker each
+//! joins, the workers claim its jobs one at a time, and the master sleeps
+//! on the pool's completion notifier until the last job it awaits lands or
+//! a job is lost. A retry or a hedge ships as a round of one.
 //!
 //! Faults come from the `NSX_FAULTS` environment variable (see
 //! [`FaultPlan`]) for chaos testing, or programmatically via
 //! [`ThreadedBackend::with_options`].
 
-use crate::dispatch::{Dispatcher, LegId, Link, Outcome, Shipped};
+use crate::dispatch::{extend_job, Dispatcher, LegId, Link, Outcome, Shipped};
 use crate::faults::FaultPlan;
-use crate::pool::{default_respawn_budget, JobHandle, MwPool, RetryPolicy, WorkerLost};
+use crate::pool::{default_respawn_budget, MwPool, RetryPolicy, Round, WorkerLost};
 use crate::resilience::HedgePolicy;
 use obs::MetricsRegistry;
 use std::sync::{Arc, OnceLock};
@@ -33,28 +35,18 @@ use std::time::Duration;
 use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::objective::SampleStream;
 
-/// Ship one extension job to the pool: the stream state moves to a worker,
-/// extends there, and is handed back through the job handle.
-pub(crate) fn ship_extend<S: SampleStream + 'static>(
-    pool: &MwPool,
-    mut job: StreamJob<S>,
-) -> JobHandle<StreamJob<S>> {
-    pool.submit(move |_worker| {
-        job.stream.extend(job.dt);
-        job
-    })
-}
-
-/// The thread link: a ticket is the job's result handle, and the master
-/// sleeps on the pool's completion-generation condvar.
+/// The thread link: a ticket is a shipped round and a job's position in
+/// it, and the master sleeps on the pool's completion-generation condvar.
 impl<S: SampleStream + 'static> Link<S> for MwPool {
-    type Ticket = JobHandle<StreamJob<S>>;
+    type Ticket = (Arc<Round<StreamJob<S>, StreamJob<S>>>, usize);
 
     const DEFAULT_TIMEOUT: Option<Duration> = None;
 
     fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
-        let ship = |job: &StreamJob<S>| Shipped::Ticket(ship_extend(self, job.clone()));
-        jobs.iter().map(ship).collect()
+        let round = self.submit_round(jobs.to_vec(), extend_job);
+        (0..jobs.len())
+            .map(|pos| Shipped::Ticket((Arc::clone(&round), pos)))
+            .collect()
     }
 
     fn wait(
@@ -68,10 +60,12 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
         let seen = self.completion_generation();
         let scan = || -> Vec<(LegId, Outcome<S>)> {
             legs.iter()
-                .filter_map(|(id, handle)| match handle.try_recv() {
-                    Ok(Some(job)) => Some((*id, Outcome::Done(job.stream))),
-                    Ok(None) => None,
-                    Err(WorkerLost) => Some((*id, Outcome::Lost)),
+                .filter_map(|(id, (round, pos))| {
+                    let outcome = match round.poll(*pos)? {
+                        Ok((job, finished)) => Outcome::Done(job.stream, finished),
+                        Err(WorkerLost) => Outcome::Lost,
+                    };
+                    Some((*id, outcome))
                 })
                 .collect()
         };
@@ -83,9 +77,8 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
         scan()
     }
 
-    fn forget(&self, ticket: Self::Ticket) {
-        // A dropped handle discards the straggling result.
-        drop(ticket);
+    fn forget(&self, (round, pos): Self::Ticket) {
+        round.forget(pos);
     }
 
     fn supervise(&self) {

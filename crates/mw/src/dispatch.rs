@@ -34,10 +34,10 @@ use std::time::{Duration, Instant};
 use stoch_eval::backend::StreamJob;
 use stoch_eval::objective::SampleStream;
 
-/// Upper bound on one wait while a batch is in flight. Completions wake the
-/// loop as they happen, so this only bounds how long a *silent* stall (a
-/// wedged-but-alive worker) can defer a supervision pass. It is not a
-/// completion-latency quantum.
+/// Upper bound on one wait while a batch is in flight. Links wake the loop
+/// when answers or losses come in, so this only bounds how long a *silent*
+/// stall (a wedged-but-alive worker) can defer a supervision pass. It is not
+/// a completion-latency quantum.
 const SUPERVISION_FALLBACK: Duration = Duration::from_millis(100);
 
 /// What a link did with one job handed to [`Link::ship`].
@@ -53,8 +53,9 @@ pub(crate) enum Shipped<T> {
 
 /// What became of one shipped copy, as reported by [`Link::wait`].
 pub(crate) enum Outcome<S> {
-    /// The copy answered with its extended stream.
-    Done(S),
+    /// The copy answered with its extended stream, finished at the given
+    /// instant: the answer's own time, however late the master looks.
+    Done(S, Instant),
     /// The copy will never answer: its worker died or its result was
     /// unusable. Re-dispatched from the backup.
     Lost,
@@ -77,7 +78,8 @@ pub(crate) trait Link<S> {
 
     /// Per-attempt deadline when [`RetryPolicy::timeout`] is unset. A wire
     /// cannot tell a lost frame from a slow worker, so the socket link
-    /// supplies one; threads detect loss by disconnection and need none.
+    /// supplies one; on threads a dead worker turns its job Lost, so they
+    /// need none.
     const DEFAULT_TIMEOUT: Option<Duration>;
 
     /// Ship one extension per job, a whole round at once: one
@@ -85,8 +87,9 @@ pub(crate) trait Link<S> {
     /// master-side backups.
     fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>>;
 
-    /// Outcomes for any of `legs`, waiting up to `max_wait` for the first
-    /// one. Returns early as soon as anything resolved; may return empty.
+    /// Outcomes for any of `legs`, waiting up to `max_wait` for news.
+    /// Returns early once the link has some: any answer on a socket, a
+    /// round's last awaited answer or any loss on threads. May return empty.
     fn wait(&self, legs: &[(LegId, &Self::Ticket)], max_wait: Duration)
         -> Vec<(LegId, Outcome<S>)>;
 
@@ -202,7 +205,7 @@ impl<S: SampleStream, T> Batch<S, T> {
     }
 
     fn finish_inline(&mut self, idx: usize, job: StreamJob<S>) {
-        self.out[idx] = Some(extend_inline(job));
+        self.out[idx] = Some(extend_job(job));
     }
 
     /// Every copy in flight, primaries before their hedges.
@@ -245,8 +248,9 @@ fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>) -> Shipped<L::Ticket> {
     shipped.unwrap_or(Shipped::Unavailable)
 }
 
-/// Extend `job` on the calling thread.
-fn extend_inline<S: SampleStream>(mut job: StreamJob<S>) -> StreamJob<S> {
+/// Extend `job` where it runs: inline on the master, or on the thread
+/// worker that claimed it.
+pub(crate) fn extend_job<S: SampleStream>(mut job: StreamJob<S>) -> StreamJob<S> {
     job.stream.extend(job.dt);
     job
 }
@@ -333,6 +337,16 @@ impl Dispatcher {
         self.hedge.hedge_after(est.count(), est.estimate())
     }
 
+    /// While hedging is on but its estimator is still warming up, how often
+    /// the loop looks at answers already in. A link may wake the loop only
+    /// once per round, yet the estimator learns only from answers the loop
+    /// has seen, so without this poll a straggler could hold every round of
+    /// the warm-up hostage. Polls at the hedging floor, at least 1 ms apart.
+    fn warmup_poll(&self) -> Option<Duration> {
+        (self.hedge.enabled && self.hedge_after().is_none())
+            .then(|| self.hedge.min_delay.max(Duration::from_millis(1)))
+    }
+
     /// Run one round on `link` and return it in submission order, bit for
     /// bit what the serial backend would return.
     pub(crate) fn extend_batch<S, L>(&self, link: &L, jobs: Vec<StreamJob<S>>) -> Vec<StreamJob<S>>
@@ -344,7 +358,7 @@ impl Dispatcher {
         let t0 = Instant::now();
         let done = if self.degraded() || link.is_failed() {
             self.note_degraded();
-            jobs.into_iter().map(extend_inline).collect()
+            jobs.into_iter().map(extend_job).collect()
         } else {
             self.run(link, jobs)
         };
@@ -380,6 +394,7 @@ impl Dispatcher {
         let limit = self.retry.timeout.or(L::DEFAULT_TIMEOUT);
         while batch.live > 0 {
             let wait = batch.next_wake(limit, self.hedge_after());
+            let wait = self.warmup_poll().map_or(wait, |poll| wait.min(poll));
             let outcomes = link.wait(&batch.legs(), wait);
             for (id, outcome) in outcomes {
                 self.settle(link, &mut batch, id, outcome);
@@ -508,7 +523,7 @@ impl Dispatcher {
             _ => return,
         };
         match outcome {
-            Outcome::Done(stream) => {
+            Outcome::Done(stream, finished) => {
                 let Some(p) = batch.take(id.idx) else { return };
                 // First answer wins; the other copy is forgotten. Both carry
                 // identical bits, so hedging changes when, never what.
@@ -519,7 +534,7 @@ impl Dispatcher {
                 if from_hedge {
                     self.count(|o| &o.hedge_wins);
                 }
-                self.observe_latency(winner.shipped.elapsed());
+                self.observe_latency(finished.saturating_duration_since(winner.shipped));
                 if let Some(l) = loser {
                     link.forget(l.ticket);
                 }
@@ -994,6 +1009,114 @@ pub(crate) mod tests {
                 assert!(Arc::ptr_eq(&a, &b));
                 assert!(a.pool().n_workers() >= 1);
             }
+        }
+    }
+
+    /// Ship `jobs` as one round straight onto `pool`'s link and wait out
+    /// every answer: `true` for each job done, `false` for each lost.
+    fn ship_round(pool: &MwPool, jobs: &[StreamJob<Stream>]) -> Vec<bool> {
+        let tickets: Vec<_> = Link::ship(pool, jobs)
+            .into_iter()
+            .map(|shipped| match shipped {
+                Shipped::Ticket(t) => t,
+                _ => panic!("the thread link takes every job"),
+            })
+            .collect();
+        let mut done: Vec<Option<bool>> = vec![None; jobs.len()];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while done.iter().any(Option::is_none) {
+            assert!(Instant::now() < deadline, "round never resolved");
+            let legs: Vec<_> = (0..jobs.len())
+                .filter(|&idx| done[idx].is_none())
+                .map(|idx| (LegId { idx, leg: 1 }, &tickets[idx]))
+                .collect();
+            for (id, outcome) in Link::wait(pool, &legs, SUPERVISION_FALLBACK) {
+                done[id.idx] = Some(matches!(outcome, Outcome::Done(..)));
+            }
+        }
+        done.into_iter().flatten().collect()
+    }
+
+    /// The thread link ships a round as one pool round: these cases pin
+    /// what that round keeps per job and what it does once.
+    mod thread_rounds {
+        use super::*;
+
+        #[test]
+        fn a_fault_free_round_wakes_the_master_once() {
+            let pool = MwPool::new(2);
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
+            let before = pool.completion_generation();
+            assert_eq!(ship_round(&pool, &jobs_at(&obj, 8)), [true; 8]);
+            assert_eq!(pool.completion_generation() - before, 1);
+        }
+
+        #[test]
+        fn a_round_shipped_to_a_failed_pool_is_lost_at_once() {
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
+            let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 0), 0, None);
+            assert_eq!(ship_round(&pool, &jobs_at(&obj, 1)), [false]);
+            while pool.live_workers() > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            pool.supervise();
+            assert!(pool.is_failed());
+            let t0 = Instant::now();
+            assert_eq!(ship_round(&pool, &jobs_at(&obj, 4)), [false; 4]);
+            assert!(t0.elapsed() < SUPERVISION_FALLBACK, "{:?}", t0.elapsed());
+        }
+
+        /// Run one batch of 8 on two workers with worker 0 holding one of
+        /// its jobs (its parking job before that is its job 0), and check it
+        /// against serial. Returns the backend's registry.
+        fn batch_with_worker_zero_faulted(faults: FaultPlan) -> MetricsRegistry {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let budget = default_respawn_budget(2);
+            let b = ThreadedBackend::with_options(
+                2,
+                faults,
+                RetryPolicy::default(),
+                budget,
+                Some(&reg),
+            )
+            .with_hedge(HedgePolicy::default());
+            let got = with_worker_zero_engaged(b.pool(), || b.extend_batch(jobs_at(&obj, 8)));
+            assert_batches_identical(&SerialBackend.extend_batch(jobs_at(&obj, 8)), &got);
+            reg
+        }
+
+        #[test]
+        fn a_kill_mid_round_loses_only_the_job_in_hand() {
+            let reg = batch_with_worker_zero_faulted(FaultPlan::none().kill(0, 1));
+            assert_eq!(reg.counter("mw.retry.attempts").get(), 1);
+            assert_eq!(reg.counter("mw.pool.workers_lost").get(), 1);
+        }
+
+        #[test]
+        fn a_dropped_result_mid_round_loses_only_that_job() {
+            let reg = batch_with_worker_zero_faulted(FaultPlan::none().drop_result(0, 1));
+            assert_eq!(reg.counter("mw.retry.attempts").get(), 1);
+            assert_eq!(reg.counter("mw.pool.workers_lost").get(), 0);
+        }
+
+        #[test]
+        fn pool_counters_count_extensions() {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
+            let b = ThreadedBackend::with_options(
+                2,
+                FaultPlan::none(),
+                RetryPolicy::default(),
+                default_respawn_budget(2),
+                Some(&reg),
+            );
+            for _ in 0..3 {
+                b.extend_batch(jobs_at(&obj, 8));
+            }
+            assert_eq!(reg.counter("mw.pool.jobs_submitted").get(), 24);
+            assert_eq!(b.pool().job_counts().iter().sum::<u64>(), 24);
+            assert_eq!(b.pool().queue_depth(), 0);
         }
     }
 

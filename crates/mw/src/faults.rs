@@ -10,7 +10,8 @@
 //! (see `tests/mw_faults.rs`).
 //!
 //! Plans can be built programmatically or parsed from the `NSX_FAULTS`
-//! environment variable, a comma-separated list of directives:
+//! environment variable, a comma-separated list of directives (a value
+//! that does not parse panics, naming the knob):
 //!
 //! | Directive | Effect |
 //! |---|---|
@@ -290,20 +291,18 @@ impl FaultPlan {
     }
 
     /// The plan selected by the `NSX_FAULTS` environment variable; empty
-    /// when unset. A malformed value is reported on stderr and ignored
-    /// rather than taking the process down — chaos tooling must never be
-    /// the thing that crashes the run.
+    /// when unset. Panics naming the knob and the value on a directive
+    /// [`parse`](Self::parse) rejects, like every other `NSX_*` knob: a
+    /// typo must not silently run a chaos leg without its faults.
     pub fn from_env() -> Self {
-        match std::env::var("NSX_FAULTS") {
-            Ok(s) => match Self::parse(&s) {
-                Ok(plan) => plan,
-                Err(e) => {
-                    eprintln!("NSX_FAULTS ignored: {e}");
-                    FaultPlan::none()
-                }
-            },
-            Err(_) => FaultPlan::none(),
-        }
+        Self::from_setting(std::env::var("NSX_FAULTS").ok().as_deref())
+    }
+
+    /// [`FaultPlan::from_env`] over an already-read setting.
+    fn from_setting(value: Option<&str>) -> Self {
+        value.map_or_else(FaultPlan::none, |v| {
+            Self::parse(v).unwrap_or_else(|e| panic!("invalid NSX_FAULTS='{v}': {e}"))
+        })
     }
 }
 
@@ -365,6 +364,21 @@ mod tests {
         assert!(FaultPlan::parse("explode:0:after=1").is_err());
         assert!(FaultPlan::parse("delay:0:after=2").is_err());
         assert!(FaultPlan::parse("drop:0:at=nope").is_err());
+    }
+
+    #[test]
+    fn setting_is_empty_when_unset_and_parsed_when_set() {
+        assert!(FaultPlan::from_setting(None).is_empty());
+        assert_eq!(
+            FaultPlan::from_setting(Some("kill:0:after=3,drop:1:at=2")),
+            FaultPlan::none().kill(0, 3).drop_result(1, 2)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid NSX_FAULTS='kill:0:after=x': bad after value")]
+    fn malformed_setting_panics_naming_the_knob_and_value() {
+        FaultPlan::from_setting(Some("kill:0:after=x"));
     }
 
     #[test]

@@ -1,21 +1,37 @@
 //! The MW worker pool: real OS threads fed over channels, with supervision.
 //!
 //! This is the in-process substitute for the paper's MPI-connected worker
-//! ranks (see DESIGN.md, substitutions): the master submits jobs, workers
-//! execute them, and results return over a per-job channel — structurally
-//! the send/recv pattern of the original `MWRMComm` layer. Tasks and workers
-//! never communicate with each other, only with the master, exactly as in
-//! §3.1.
+//! ranks (see DESIGN.md, substitutions): the master hands work to the
+//! workers and they hand results back — structurally the send/recv pattern
+//! of the original `MWRMComm` layer. Tasks and workers never communicate
+//! with each other, only with the master, exactly as in §3.1.
+//!
+//! Work reaches the workers over one shared queue, in two shapes:
+//!
+//! * [`MwPool::submit`] queues one closure, whose result comes back over its
+//!   own channel to a [`JobHandle`];
+//! * a sampling round (`MwPool::submit_round`, behind the threaded backend)
+//!   is one shared round with a slot per job, reached through queue
+//!   entries that all point at it: the master queues one, and each worker
+//!   that joins queues the next while jobs are left, up to one entry per
+//!   worker. A worker that takes an entry claims the round's jobs one at a
+//!   time until none are left, and each result lands in its job's slot.
+//!   The master is woken when the last job it still awaits in the round
+//!   lands, or when a job is lost — once per round, not once per job,
+//!   which is how the paper's master waits on its d+3 workers.
 //!
 //! The pool is *supervised* (DESIGN.md §9): every worker slot carries a
 //! liveness flag armed by an RAII guard on the worker thread, so a worker
 //! that panics or is reclaimed mid-job (the paper's §4.2 Condor scenario) is
 //! detected by [`MwPool::supervise`], which joins the corpse and respawns a
 //! fresh worker into the slot while a respawn budget remains. A lost job is
-//! never silent: its result channel disconnects and the caller's
-//! [`JobHandle`] reports [`WorkerLost`] instead of hanging or panicking.
+//! never silent: a single job's result channel disconnects and its
+//! [`JobHandle`] reports [`WorkerLost`]; a round job held by a dying worker
+//! (or whose result was dropped) turns Lost in its slot, as do a round's
+//! unclaimed jobs once no queue entry for the round is left. Faults, job
+//! counters and losses are all per job, inside a round as outside one.
 //! When the budget is exhausted and every worker is dead the pool marks
-//! itself failed, drains the queue (erroring every pending handle), and all
+//! itself failed, drains the queue (erroring every pending job), and all
 //! further submissions fail fast — callers degrade gracefully rather than
 //! wedge.
 
@@ -23,14 +39,23 @@ use crate::faults::{FaultPlan, WorkerFault};
 use crate::resilience::BackoffPolicy;
 use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use obs::{Counter, Gauge, MetricsRegistry};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A unit of work: called with the worker's slot index and a flag telling it
 /// to discard (not send) its result — the fault injector's lost-message case.
 type Job = Box<dyn FnOnce(usize, bool) + Send + 'static>;
+
+/// What a worker takes off the queue.
+enum Entry {
+    /// One closure from [`MwPool::submit`].
+    Job(Job),
+    /// A way into a shipped round: its holder claims the round's jobs until
+    /// none are left.
+    Round(Share),
+}
 
 /// Per-worker execution counters.
 #[derive(Debug, Default)]
@@ -79,10 +104,11 @@ impl PoolObs {
 }
 
 /// Wakes masters blocked in a batch wait whenever something that can change
-/// a pending [`JobHandle`]'s outcome happens: a job finishes (result sent
-/// *or* dropped), a worker dies, or the failed-pool drain discards queued
-/// jobs. Callers snapshot [`generation`](CompletionNotifier::generation)
-/// *before* scanning their handles, then [`wait`](CompletionNotifier::wait)
+/// a pending job's outcome happens: a single job finishes (result sent *or*
+/// dropped), a round's last awaited job lands, a round job is lost, a worker
+/// dies, or the failed-pool drain discards queued work. Callers snapshot
+/// [`generation`](CompletionNotifier::generation) *before* scanning their
+/// handles, then [`wait`](CompletionNotifier::wait)
 /// on that snapshot — a completion racing the scan bumps past the snapshot
 /// and the wait returns immediately, so no wakeup is ever lost.
 // Mutex<u64> + Condvar is the textbook generation counter for parking
@@ -158,6 +184,228 @@ impl std::fmt::Display for WorkerLost {
 }
 
 impl std::error::Error for WorkerLost {}
+
+/// Where one job of a [`Round`] stands.
+enum RoundJob<T, R> {
+    /// Not yet claimed by a worker.
+    Queued(T),
+    /// In a worker's hand.
+    Running,
+    /// Finished at the given instant, not yet collected by the master.
+    Done(R, Instant),
+    /// Will never answer: its worker died holding it or dropped its result,
+    /// or no worker was left to claim it.
+    Lost,
+    /// Collected by the master.
+    Collected,
+}
+
+/// One job's slot in a [`Round`].
+struct RoundSlot<T, R> {
+    job: RoundJob<T, R>,
+    /// Still counted in [`Round::awaited`]: neither resolved nor forgotten.
+    awaited: bool,
+}
+
+/// A round shipped by [`MwPool::submit_round`]: one slot per job, a claim
+/// cursor shared by the queue entries serving the round, and the count that
+/// decides when the master is woken.
+pub(crate) struct Round<T, R> {
+    work: fn(T) -> R,
+    slots: Vec<Mutex<RoundSlot<T, R>>>,
+    /// The next unclaimed position.
+    next: AtomicUsize,
+    /// Queue entries ([`Share`]s) for this round not yet dropped.
+    shares: AtomicUsize,
+    /// Entries the round may still put on the queue to bring in another
+    /// worker.
+    spare: AtomicUsize,
+    /// The pool's job queue; gone once the pool shuts down.
+    queue: Weak<Sender<Entry>>,
+    /// Jobs the master still waits for: neither resolved nor forgotten.
+    awaited: AtomicUsize,
+    notifier: Arc<CompletionNotifier>,
+    queue_depth: Arc<AtomicU64>,
+}
+
+impl<T, R> Round<T, R> {
+    /// Poison-proof lock of job `pos`'s slot.
+    fn slot(&self, pos: usize) -> MutexGuard<'_, RoundSlot<T, R>> {
+        self.slots[pos].lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Take job `pos`'s outcome if it has one: its result and when its
+    /// worker finished it, or [`WorkerLost`]. `None` while it is queued or
+    /// running.
+    pub(crate) fn poll(&self, pos: usize) -> Option<Result<(R, Instant), WorkerLost>> {
+        let mut slot = self.slot(pos);
+        match slot.job {
+            RoundJob::Lost => Some(Err(WorkerLost)),
+            RoundJob::Done(..) => match std::mem::replace(&mut slot.job, RoundJob::Collected) {
+                RoundJob::Done(r, finished) => Some(Ok((r, finished))),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    /// Stop waiting for job `pos`. Its late answer is discarded, and it no
+    /// longer holds back the wakeup for the rest of the round.
+    pub(crate) fn forget(&self, pos: usize) {
+        if std::mem::replace(&mut self.slot(pos).awaited, false) {
+            self.awaited.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+
+    /// Record job `pos`'s outcome. True when the master must be woken: the
+    /// job was lost, or it was the last job the master still awaited.
+    fn settle(&self, pos: usize, job: RoundJob<T, R>) -> bool {
+        let lost = matches!(job, RoundJob::Lost);
+        let mut slot = self.slot(pos);
+        slot.job = job;
+        let awaited = std::mem::replace(&mut slot.awaited, false);
+        drop(slot);
+        awaited && (self.awaited.fetch_sub(1, Ordering::AcqRel) == 1 || lost)
+    }
+}
+
+/// What a worker needs of a round, whatever its job and result types.
+trait RoundWork: Send + Sync {
+    /// Claim the next unclaimed job, or `None` once every job is claimed.
+    fn claim(&self) -> Option<usize>;
+    /// Run claimed job `pos`, keeping its result unless `drop_result`.
+    fn run(&self, pos: usize, drop_result: bool);
+    /// Claimed job `pos` will never answer.
+    fn lose(&self, pos: usize);
+    /// Take one of the round's spare entries, if a job is still unclaimed
+    /// and the pool is up: the queue to put it on, with the entry already
+    /// counted in the round's shares.
+    fn spare_entry(&self) -> Option<Arc<Sender<Entry>>>;
+    /// One queue entry for the round is gone. When it was the last, every
+    /// job still unclaimed turns Lost.
+    fn release(&self);
+}
+
+impl<T: Send, R: Send> RoundWork for Round<T, R> {
+    fn claim(&self) -> Option<usize> {
+        let pos = self.next.fetch_add(1, Ordering::AcqRel);
+        (pos < self.slots.len()).then(|| {
+            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            pos
+        })
+    }
+
+    fn run(&self, pos: usize, drop_result: bool) {
+        let RoundJob::Queued(input) = std::mem::replace(&mut self.slot(pos).job, RoundJob::Running)
+        else {
+            return; // claims are unique, so a claimed job is always queued
+        };
+        let out = (self.work)(input);
+        let job = if drop_result {
+            RoundJob::Lost
+        } else {
+            RoundJob::Done(out, Instant::now())
+        };
+        if self.settle(pos, job) {
+            self.notifier.bump();
+        }
+    }
+
+    fn lose(&self, pos: usize) {
+        if self.settle(pos, RoundJob::Lost) {
+            self.notifier.bump();
+        }
+    }
+
+    fn spare_entry(&self) -> Option<Arc<Sender<Entry>>> {
+        if self.next.load(Ordering::Acquire) >= self.slots.len() {
+            return None;
+        }
+        self.spare
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |k| k.checked_sub(1))
+            .ok()?;
+        let queue = self.queue.upgrade()?;
+        self.shares.fetch_add(1, Ordering::AcqRel);
+        Some(queue)
+    }
+
+    fn release(&self) {
+        if self.shares.fetch_sub(1, Ordering::AcqRel) != 1 {
+            return;
+        }
+        let n = self.slots.len();
+        let first = self.next.fetch_max(n, Ordering::AcqRel);
+        if first >= n {
+            return;
+        }
+        self.queue_depth
+            .fetch_sub((n - first) as u64, Ordering::Relaxed);
+        let wake = (first..n).fold(false, |wake, pos| self.settle(pos, RoundJob::Lost) | wake);
+        if wake {
+            self.notifier.bump();
+        }
+    }
+}
+
+/// A queue entry for a round, held by the worker serving it. Dropping the
+/// round's last share — its holder is done claiming, died, or the entry was
+/// drained from a failed pool's queue — loses every job still unclaimed.
+struct Share(Arc<dyn RoundWork>);
+
+impl Share {
+    /// Claim the round's next job, if any is left.
+    fn claim(&self) -> Option<Claim<'_>> {
+        let pos = self.0.claim()?;
+        Some(Claim {
+            round: &*self.0,
+            pos,
+            ran: false,
+        })
+    }
+
+    /// Bring one more worker into the round while a job is left for it.
+    /// The master queues a single entry per round and each worker that
+    /// joins queues the next: a wake-up then comes from a running worker
+    /// rather than from the master waking several workers back to back,
+    /// which on a small host stacks two of them on one CPU while another
+    /// idles.
+    fn invite(&self) {
+        if let Some(queue) = self.0.spare_entry() {
+            // An entry the queue refuses drops here, like any other share.
+            let _ = queue.send(Entry::Round(Share(Arc::clone(&self.0))));
+        }
+    }
+}
+
+impl Drop for Share {
+    fn drop(&mut self) {
+        self.0.release();
+    }
+}
+
+/// A round job in a worker's hand. Dropped without having run — its worker
+/// died holding it, or the job panicked — it turns Lost and the master is
+/// woken, as a single job's dropped result sender disconnects its handle.
+struct Claim<'a> {
+    round: &'a dyn RoundWork,
+    pos: usize,
+    ran: bool,
+}
+
+impl Claim<'_> {
+    fn run(mut self, drop_result: bool) {
+        self.round.run(self.pos, drop_result);
+        self.ran = true;
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if !self.ran {
+            self.round.lose(self.pos);
+        }
+    }
+}
 
 /// How a master-side caller re-dispatches work lost to worker failure.
 ///
@@ -303,7 +551,9 @@ struct Slot {
 }
 
 struct Core {
-    job_tx: Option<Sender<Job>>,
+    /// Shared so rounds can queue their own entries (see [`Share::invite`])
+    /// without keeping the queue open once the pool shuts down.
+    job_tx: Option<Arc<Sender<Entry>>>,
     slots: Vec<Slot>,
     respawn_budget: u64,
     shutdown_outcome: Option<Result<usize, ShutdownError>>,
@@ -314,7 +564,7 @@ pub struct MwPool {
     core: Mutex<Core>,
     /// Kept so the master can respawn workers onto the same queue and drain
     /// it when the pool fails; also means `send` cannot race a disconnect.
-    job_rx: Receiver<Job>,
+    job_rx: Receiver<Entry>,
     n_workers: usize,
     stats: Arc<Vec<WorkerStats>>,
     queue_depth: Arc<AtomicU64>,
@@ -358,12 +608,68 @@ impl Drop for AliveGuard {
     }
 }
 
+/// A worker thread's own state: its slot, its faults, and how many jobs it
+/// has executed (the count the faults are keyed on).
+struct Worker {
+    w: usize,
+    fault: WorkerFault,
+    executed: u64,
+    stats: Arc<Vec<WorkerStats>>,
+    obs: Option<Arc<PoolObs>>,
+}
+
+impl Worker {
+    /// Account the time since `t_wait` as waiting for work.
+    fn idle_since(&self, t_wait: Instant) {
+        let idle = t_wait.elapsed().as_nanos() as u64;
+        self.stats[self.w]
+            .idle_nanos
+            .fetch_add(idle, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.worker_idle_nanos[self.w].add(idle);
+        }
+    }
+
+    /// Apply the fault plan to the job in hand: `None` when the worker dies
+    /// now, holding it; otherwise whether to drop its result.
+    fn admit(&self) -> Option<bool> {
+        if self.fault.kill_after.is_some_and(|n| self.executed >= n) {
+            return None;
+        }
+        if let Some(d) = self.fault.delay_for(self.executed) {
+            std::thread::sleep(d);
+        }
+        Some(self.fault.drop_at == Some(self.executed))
+    }
+
+    /// Run one admitted job, timing it as busy.
+    fn execute(&mut self, job: impl FnOnce()) {
+        // Count the job before running it: the job's last act is delivering
+        // its result, and a caller unblocked by that delivery must see this
+        // job in the counters.
+        self.stats[self.w].jobs.fetch_add(1, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.worker_jobs[self.w].inc();
+        }
+        let t0 = Instant::now();
+        job();
+        self.executed += 1;
+        let dt = t0.elapsed().as_nanos() as u64;
+        self.stats[self.w]
+            .busy_nanos
+            .fetch_add(dt, Ordering::Relaxed);
+        if let Some(o) = &self.obs {
+            o.worker_busy_nanos[self.w].add(dt);
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn spawn_worker(
     w: usize,
     incarnation: u32,
     fault: WorkerFault,
-    rx: Receiver<Job>,
+    rx: Receiver<Entry>,
     stats: Arc<Vec<WorkerStats>>,
     queue_depth: Arc<AtomicU64>,
     alive: Arc<AtomicBool>,
@@ -381,55 +687,61 @@ fn spawn_worker(
                 notifier: Arc::clone(&notifier),
                 defused: false,
             };
+            let mut me = Worker {
+                w,
+                fault,
+                executed: 0,
+                stats,
+                obs,
+            };
             // MWWorker loop: execute a task, report the result, wait for
-            // another task.
-            let mut executed = 0u64;
+            // another task. An injected kill reclaims the node with a job in
+            // hand, whose result is never sent. The guard must drop FIRST:
+            // dropping the job wakes the master with the loss, and a
+            // `supervise()` call racing in right then must already see the
+            // slot dead or it would skip the respawn.
             loop {
-                let t_wait = std::time::Instant::now();
-                let Ok(job) = rx.recv() else {
+                let t_wait = Instant::now();
+                let Ok(entry) = rx.recv() else {
                     // Master dropped the job sender: clean shutdown.
                     guard.defused = true;
                     break;
                 };
-                let idle = t_wait.elapsed().as_nanos() as u64;
-                stats[w].idle_nanos.fetch_add(idle, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.worker_idle_nanos[w].add(idle);
+                match entry {
+                    Entry::Job(job) => {
+                        me.idle_since(t_wait);
+                        queue_depth.fetch_sub(1, Ordering::Relaxed);
+                        let Some(drop_result) = me.admit() else {
+                            drop(guard);
+                            drop(job);
+                            return;
+                        };
+                        me.execute(|| job(w, drop_result));
+                        // The job either sent its result or dropped the
+                        // sender (injected loss): either way a pending
+                        // handle resolved.
+                        notifier.bump();
+                    }
+                    Entry::Round(share) => {
+                        // Claim before accounting the wait, so a worker's
+                        // idle time moves only once it holds a round job
+                        // (or found the round already claimed).
+                        let mut claim = share.claim();
+                        if claim.is_some() {
+                            share.invite();
+                        }
+                        me.idle_since(t_wait);
+                        while let Some(job) = claim {
+                            let Some(drop_result) = me.admit() else {
+                                drop(guard);
+                                drop(job);
+                                return;
+                            };
+                            me.execute(|| job.run(drop_result));
+                            claim = share.claim();
+                        }
+                    }
                 }
-                queue_depth.fetch_sub(1, Ordering::Relaxed);
-                if fault.kill_after.is_some_and(|n| executed >= n) {
-                    // Injected fault: the node is reclaimed with a job in
-                    // hand — its result is never sent. The guard must drop
-                    // FIRST: dropping the job unblocks the master with
-                    // `WorkerLost`, and a `supervise()` call racing in right
-                    // then must already see the slot dead or it would skip
-                    // the respawn.
-                    drop(guard);
-                    drop(job);
-                    return;
-                }
-                if let Some(d) = fault.delay_for(executed) {
-                    std::thread::sleep(d);
-                }
-                let drop_result = fault.drop_at == Some(executed);
-                // Count the job before running it: the job's last act is
-                // delivering its result, and a caller unblocked by that
-                // delivery must see this job in the counters.
-                stats[w].jobs.fetch_add(1, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.worker_jobs[w].inc();
-                }
-                let t0 = std::time::Instant::now();
-                job(w, drop_result);
-                executed += 1;
-                let dt = t0.elapsed().as_nanos() as u64;
-                stats[w].busy_nanos.fetch_add(dt, Ordering::Relaxed);
-                if let Some(o) = &obs {
-                    o.worker_busy_nanos[w].add(dt);
-                }
-                // The job either sent its result or dropped the sender
-                // (injected loss): either way a pending handle resolved.
-                notifier.bump();
             }
         })
         .unwrap_or_else(|e| panic!("failed to spawn MW worker {w}: {e}"))
@@ -483,7 +795,7 @@ impl MwPool {
         registry: Option<&MetricsRegistry>,
     ) -> Self {
         assert!(n_workers >= 1);
-        let (job_tx, job_rx) = unbounded::<Job>();
+        let (job_tx, job_rx) = unbounded::<Entry>();
         let stats: Arc<Vec<WorkerStats>> =
             Arc::new((0..n_workers).map(|_| WorkerStats::default()).collect());
         let queue_depth = Arc::new(AtomicU64::new(0));
@@ -518,7 +830,7 @@ impl MwPool {
             .collect();
         MwPool {
             core: Mutex::new(Core {
-                job_tx: Some(job_tx),
+                job_tx: Some(Arc::new(job_tx)),
                 slots,
                 respawn_budget,
                 shutdown_outcome: None,
@@ -677,13 +989,16 @@ impl MwPool {
         live
     }
 
-    /// Discard every queued job. Each dropped job drops its result sender,
-    /// so the corresponding [`JobHandle`] reports [`WorkerLost`] promptly.
+    /// Discard every queued entry. Each dropped job drops its result
+    /// sender, so its [`JobHandle`] reports [`WorkerLost`] promptly; a
+    /// round's last dropped share turns its unclaimed jobs Lost.
     fn drain_queue(&self) {
         let mut drained = false;
-        while let Ok(job) = self.job_rx.try_recv() {
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            drop(job);
+        while let Ok(entry) = self.job_rx.try_recv() {
+            if let Entry::Job(_) = entry {
+                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            }
+            drop(entry);
             drained = true;
         }
         if drained {
@@ -737,11 +1052,67 @@ impl MwPool {
             o.jobs_submitted.inc();
             o.queue_depth_hwm.record(depth);
         }
-        if job_tx.send(job).is_err() {
+        if job_tx.send(Entry::Job(job)).is_err() {
             // Unreachable while the pool holds `job_rx`, but stay honest.
             self.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
         JobHandle::new(rx)
+    }
+
+    /// Ship `inputs` as one round, each job running `work` on whichever
+    /// worker claims it. The round goes on the queue as one entry, and up
+    /// to `min(workers, jobs)` workers join it (see [`Share::invite`]). The
+    /// completion notifier is bumped when the last job the master awaits
+    /// lands or when a job is lost, not after every job. On a failed or
+    /// shut-down pool every job is Lost at once.
+    pub(crate) fn submit_round<T, R>(&self, inputs: Vec<T>, work: fn(T) -> R) -> Arc<Round<T, R>>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+    {
+        let n = inputs.len();
+        // Enqueue under the core lock, as `submit` does, so a pool failing
+        // concurrently drains this round's entry rather than stranding it.
+        let core = self.lock_core();
+        let queue = core.job_tx.as_ref().filter(|_| !self.is_failed());
+        let round = Arc::new(Round {
+            work,
+            slots: inputs
+                .into_iter()
+                .map(|input| {
+                    Mutex::new(RoundSlot {
+                        job: RoundJob::Queued(input),
+                        awaited: true,
+                    })
+                })
+                .collect(),
+            next: AtomicUsize::new(0),
+            shares: AtomicUsize::new(usize::from(n > 0)),
+            spare: AtomicUsize::new(self.n_workers.min(n).saturating_sub(1)),
+            queue: queue.map_or_else(Weak::new, Arc::downgrade),
+            awaited: AtomicUsize::new(n),
+            notifier: Arc::clone(&self.notifier),
+            queue_depth: Arc::clone(&self.queue_depth),
+        });
+        if n == 0 {
+            return round;
+        }
+        // Every job counts as queued until a worker claims it or the
+        // round's last share drops, so a share dropped unsent loses the
+        // whole round.
+        let depth = self.queue_depth.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
+        let share = Share(Arc::clone(&round) as Arc<dyn RoundWork>);
+        let Some(queue) = queue else {
+            return round;
+        };
+        if let Some(o) = self.obs.get() {
+            o.jobs_submitted.add(n as u64);
+            o.queue_depth_hwm.record(depth);
+        }
+        // Unreachable while the pool holds `job_rx`; a refused share drops
+        // and the round still resolves.
+        let _ = queue.send(Entry::Round(share));
+        round
     }
 
     /// Submit and block for the result (RPC style).
@@ -1011,6 +1382,81 @@ mod tests {
             assert!(pool.call(|w| w).is_ok());
         }
         assert_eq!(pool.workers_lost(), 1);
+    }
+
+    /// Wait out every job of `round`: its result, or [`WorkerLost`].
+    fn collect_round<T, R>(pool: &MwPool, round: &Round<T, R>) -> Vec<Result<R, WorkerLost>> {
+        let mut out: Vec<_> = (0..round.slots.len()).map(|_| None).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while out.iter().any(Option::is_none) {
+            assert!(Instant::now() < deadline, "round never resolved");
+            let seen = pool.completion_generation();
+            let mut news = false;
+            for (pos, o) in out.iter_mut().enumerate().filter(|(_, o)| o.is_none()) {
+                *o = round.poll(pos).map(|r| r.map(|(r, _)| r));
+                news |= o.is_some();
+            }
+            if !news {
+                pool.wait_for_completion(seen, Duration::from_millis(100));
+            }
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn round_results_land_in_submission_order() {
+        let pool = MwPool::new(3);
+        let round = pool.submit_round((0..20u64).collect(), |x| x * x);
+        let want: Vec<_> = (0..20u64).map(|x| Ok(x * x)).collect();
+        assert_eq!(collect_round(&pool, &round), want);
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_round_whose_workers_all_died_loses_its_unclaimed_jobs() {
+        // The sole worker finishes job 0, dies holding job 1, and takes the
+        // round's only queue entry with it: jobs 2 and 3 can never be
+        // claimed, so they turn Lost instead of waiting forever.
+        let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 1), 0, None);
+        let round = pool.submit_round(vec![0, 1, 2, 3], |x: u32| x + 10);
+        let got = collect_round(&pool, &round);
+        assert_eq!(
+            got,
+            [Ok(10), Err(WorkerLost), Err(WorkerLost), Err(WorkerLost)]
+        );
+        assert_eq!(pool.job_counts(), [1], "only the finished job ran");
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_failed_pools_drained_queue_loses_queued_rounds() {
+        // The sole worker dies on the single job ahead of the round, with no
+        // respawn budget: the failed pool drains the round's entry.
+        let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 0), 0, None);
+        let ahead = pool.submit(|_| ());
+        let round = pool.submit_round(vec![1, 2, 3], |x: u32| x);
+        assert_eq!(ahead.recv(), Err(WorkerLost));
+        while pool.live_workers() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(pool.supervise(), 0);
+        assert!(pool.is_failed());
+        assert_eq!(collect_round(&pool, &round), [Err(WorkerLost); 3]);
+        assert_eq!(pool.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_panicking_round_job_is_lost_alone() {
+        // Job 0 panics on whichever worker claims it; the claim guard turns
+        // exactly that job Lost, and the other worker's entry still serves
+        // job 1.
+        let pool = MwPool::with_options(2, FaultPlan::none(), 0, None);
+        let round = pool.submit_round(vec![0, 1], |x: u32| {
+            assert!(x != 0, "injected round job panic");
+            x
+        });
+        assert_eq!(collect_round(&pool, &round), [Err(WorkerLost), Ok(1)]);
+        assert_eq!(pool.shutdown(), Err(ShutdownError { clean: 1, lost: 1 }));
     }
 
     #[test]

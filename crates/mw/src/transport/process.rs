@@ -826,9 +826,8 @@ impl<S: SampleStream> Link<S> for ProcessPool {
                 let outcome = match outcome {
                     // An undecodable or misrouted result is a lost copy,
                     // never a guessed sample.
-                    PollOutcome::Result(payload) => {
-                        decode_stream(&payload, slot).map_or(Outcome::Lost, Outcome::Done)
-                    }
+                    PollOutcome::Result(payload) => decode_stream(&payload, slot)
+                        .map_or(Outcome::Lost, |s| Outcome::Done(s, Instant::now())),
                     // The worker's registry refused the job; running it on
                     // this pool will never work.
                     PollOutcome::Refused(_) => {

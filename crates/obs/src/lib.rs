@@ -3,7 +3,7 @@
 //! The instrumented crates (`noisy-simplex`, `mw-framework`, `repro-bench`)
 //! record what happened during a run — decision-site outcomes, gate checks,
 //! queue depths, bytes on the wire — into a shared [`MetricsRegistry`].
-//! Handles ([`Counter`], [`TimeAccumulator`], [`Gauge`], [`Histogram`]) are
+//! Handles ([`Counter`], [`TimeAccumulator`], [`Gauge`]) are
 //! `Arc`-backed and lock-free on the hot path: the registry's lock is taken
 //! only at registration time, never per increment.
 //!
@@ -102,93 +102,12 @@ impl Gauge {
     }
 }
 
-/// Number of log-2 buckets in a [`Histogram`] (covers 1 .. 2^63).
-pub const HISTOGRAM_BUCKETS: usize = 64;
-
-/// A log-2-bucketed histogram of `u64` observations.
-///
-/// Observation `v` lands in bucket `floor(log2(v)) + 1`; zero lands in
-/// bucket 0. Concurrent `observe` calls are lock-free.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            (64 - v.leading_zeros()) as usize
-        };
-        self.buckets[idx.min(HISTOGRAM_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Mean observed value (zero when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Per-bucket counts, as `(bucket_lower_bound, count)` for non-empty
-    /// buckets.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let c = b.load(Ordering::Relaxed);
-                if c == 0 {
-                    return None;
-                }
-                let lo = if i == 0 { 0 } else { 1u64 << (i - 1) };
-                Some((lo, c))
-            })
-            .collect()
-    }
-}
-
 /// One registered metric handle.
 #[derive(Debug, Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Time(Arc<TimeAccumulator>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
 }
 
 /// A snapshot of one metric's value at export time.
@@ -200,15 +119,6 @@ pub enum MetricValue {
     Time(f64),
     /// A gauge's high-water mark.
     Gauge(u64),
-    /// A histogram's `(count, sum, non-empty buckets)`.
-    Histogram {
-        /// Total observations.
-        count: u64,
-        /// Sum of observed values.
-        sum: u64,
-        /// `(bucket_lower_bound, count)` pairs for non-empty buckets.
-        buckets: Vec<(u64, u64)>,
-    },
 }
 
 /// A named collection of metrics, shared across threads.
@@ -260,14 +170,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        match self.entry(name, || Metric::Histogram(Arc::new(Histogram::new()))) {
-            Metric::Histogram(h) => h,
-            other => panic!("metric {name:?} already registered as {other:?}, wanted histogram"),
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap().len()
@@ -287,11 +189,6 @@ impl MetricsRegistry {
                     Metric::Counter(c) => MetricValue::Counter(c.get()),
                     Metric::Time(t) => MetricValue::Time(t.get()),
                     Metric::Gauge(g) => MetricValue::Gauge(g.max()),
-                    Metric::Histogram(h) => MetricValue::Histogram {
-                        count: h.count(),
-                        sum: h.sum(),
-                        buckets: h.nonzero_buckets(),
-                    },
                 };
                 (name.clone(), v)
             })
@@ -300,8 +197,7 @@ impl MetricsRegistry {
 
     /// Serialize the current snapshot as a JSON object keyed by metric name.
     ///
-    /// Counters and gauges become integers, time accumulators become floats,
-    /// histograms become `{"count": .., "sum": .., "buckets": [[lo, n], ..]}`.
+    /// Counters and gauges become integers, time accumulators become floats.
     pub fn to_json(&self) -> String {
         let snap = self.snapshot();
         let mut out = String::from("{\n");
@@ -314,22 +210,6 @@ impl MetricsRegistry {
                     out.push_str(&n.to_string());
                 }
                 MetricValue::Time(t) => out.push_str(&format_json_f64(*t)),
-                MetricValue::Histogram {
-                    count,
-                    sum,
-                    buckets,
-                } => {
-                    out.push_str(&format!(
-                        "{{\"count\": {count}, \"sum\": {sum}, \"buckets\": ["
-                    ));
-                    for (j, (lo, n)) in buckets.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!("[{lo}, {n}]"));
-                    }
-                    out.push_str("]}");
-                }
             }
             if i + 1 < snap.len() {
                 out.push(',');
@@ -341,7 +221,7 @@ impl MetricsRegistry {
     }
 
     /// Serialize the current snapshot as CSV with header
-    /// `metric,kind,value` (histograms export count, sum, and mean rows).
+    /// `metric,kind,value`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("metric,kind,value\n");
         for (name, v) in self.snapshot() {
@@ -358,20 +238,6 @@ impl MetricsRegistry {
                 }
                 MetricValue::Gauge(n) => {
                     out.push_str(&format!("{},gauge,{}\n", csv_field(&name), n));
-                }
-                MetricValue::Histogram { count, sum, .. } => {
-                    let mean = if count == 0 {
-                        0.0
-                    } else {
-                        sum as f64 / count as f64
-                    };
-                    out.push_str(&format!("{}.count,histogram,{}\n", csv_field(&name), count));
-                    out.push_str(&format!("{}.sum,histogram,{}\n", csv_field(&name), sum));
-                    out.push_str(&format!(
-                        "{}.mean,histogram,{}\n",
-                        csv_field(&name),
-                        format_json_f64(mean)
-                    ));
                 }
             }
         }
@@ -699,20 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_mean() {
-        let h = Histogram::new();
-        for v in [0, 1, 2, 3, 8, 1024] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.sum(), 1038);
-        assert!((h.mean() - 173.0).abs() < 1.0);
-        let buckets = h.nonzero_buckets();
-        // 0 -> bucket lo 0; 1 -> lo 1; 2,3 -> lo 2; 8 -> lo 8; 1024 -> lo 1024.
-        assert_eq!(buckets, vec![(0, 1), (1, 1), (2, 2), (8, 1), (1024, 1)]);
-    }
-
-    #[test]
     fn registry_get_or_create_shares_handles() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("x.events");
@@ -737,28 +589,20 @@ mod tests {
         reg.counter("a.count").add(42);
         reg.time("a.seconds").add(1.25);
         reg.gauge("a.depth").record(17);
-        reg.histogram("a.sizes").observe(100);
         let doc = json::parse(&reg.to_json()).expect("exporter output must be valid JSON");
         assert_eq!(doc.get("a.count").and_then(|v| v.as_u64()), Some(42));
         assert_eq!(doc.get("a.seconds").and_then(|v| v.as_f64()), Some(1.25));
         assert_eq!(doc.get("a.depth").and_then(|v| v.as_u64()), Some(17));
-        let h = doc.get("a.sizes").unwrap();
-        assert_eq!(h.get("count").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(h.get("sum").and_then(|v| v.as_u64()), Some(100));
     }
 
     #[test]
     fn csv_export_has_header_and_rows() {
         let reg = MetricsRegistry::new();
         reg.counter("n").add(3);
-        reg.histogram("h").observe(4);
         let csv = reg.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "metric,kind,value");
         assert!(lines.contains(&"n,counter,3"));
-        assert!(lines.contains(&"h.count,histogram,1"));
-        assert!(lines.contains(&"h.sum,histogram,4"));
-        assert!(lines.contains(&"h.mean,histogram,4"));
     }
 
     #[test]
@@ -773,12 +617,10 @@ mod tests {
                     let c = reg.counter("contended.count");
                     let t = reg.time("contended.seconds");
                     let g = reg.gauge("contended.depth");
-                    let h = reg.histogram("contended.sizes");
                     for i in 0..per_thread {
                         c.inc();
                         t.add(0.001);
                         g.record(i);
-                        h.observe(i);
                     }
                 });
             }
@@ -786,7 +628,6 @@ mod tests {
         let total = threads as u64 * per_thread;
         assert_eq!(reg.counter("contended.count").get(), total);
         assert_eq!(reg.gauge("contended.depth").max(), per_thread - 1);
-        assert_eq!(reg.histogram("contended.sizes").count(), total);
         let t = reg.time("contended.seconds").get();
         assert!((t - total as f64 * 0.001).abs() < 1e-6, "time drifted: {t}");
     }
