@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the simplex-algorithm kernels: full short
-//! optimizations of each method under identical noise, plus the raw
-//! geometry operations.
+//! optimizations of each method under identical noise, one decision step
+//! of the simplex layer, plus the raw geometry operations.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use noisy_simplex::geometry::{centroid_excluding, diameter, order, reflect};
 use noisy_simplex::prelude::*;
 use std::hint::black_box;
+use std::sync::Arc;
+use stoch_eval::backend::SerialBackend;
 use stoch_eval::functions::Rosenbrock;
 use stoch_eval::noise::ConstantNoise;
 use stoch_eval::sampler::Noisy;
@@ -47,6 +49,46 @@ fn bench_methods(c: &mut Criterion) {
     g.finish();
 }
 
+/// One MN `RunSession::step` on `SerialBackend` (Rosenbrock, σ0 = 100):
+/// the decision layer plus the stream extensions of its rounds. A run that
+/// finishes is replaced by a fresh one, so a run's set-up is spread over its
+/// steps (about 50 at d = 4, at most 300 at d = 50).
+fn bench_step(c: &mut Criterion) {
+    let mut g = c.benchmark_group("step");
+    for (d, max_iterations) in [(4usize, 100_000u64), (50, 300)] {
+        let obj = Noisy::gaussian(Rosenbrock::new(d), ConstantNoise(100.0));
+        let term = Termination {
+            tolerance: Some(1e-6),
+            max_time: Some(1e5),
+            max_iterations: Some(max_iterations),
+        };
+        g.bench_function(format!("mn_d{d}"), |b| {
+            let mut seed = 0u64;
+            let mut fresh = || {
+                seed += 1;
+                RunSession::with_backend(
+                    &obj,
+                    init::random_uniform(d, -6.0, 3.0, seed),
+                    SimplexConfig::default(),
+                    term,
+                    TimeMode::Parallel,
+                    seed,
+                    Driver::Mn(MnParams { k: 2.0 }),
+                    Arc::new(SerialBackend),
+                )
+            };
+            let mut session = fresh();
+            b.iter(|| {
+                if session.is_finished() {
+                    session = fresh();
+                }
+                session.step()
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_geometry(c: &mut Criterion) {
     let mut g = c.benchmark_group("geometry");
     for d in [4usize, 20, 100] {
@@ -74,6 +116,6 @@ fn bench_geometry(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_methods, bench_geometry
+    targets = bench_methods, bench_step, bench_geometry
 );
 criterion_main!(benches);

@@ -44,9 +44,8 @@ where
         if rounds >= MAX_WAIT_ROUNDS {
             return Some(StopReason::Stalled);
         }
-        let ids: Vec<usize> = (0..eng.n_vertices()).collect();
         let t0 = eng.elapsed();
-        eng.extend_round(&ids).await;
+        eng.extend_vertices().await;
         if let Some(m) = &metrics {
             m.mn_extension_rounds.inc();
             m.mn_equalize_time.add(eng.elapsed() - t0);
@@ -119,20 +118,26 @@ pub(crate) async fn classic_iteration<F: StochasticObjective>(
     None
 }
 
-/// Internal variance of the vertex values: `mean_i (g_i − ḡ)²` — the
-/// right-hand side of the MN gate (Eq. 2.3).
-pub(crate) fn internal_variance(values: &[f64]) -> f64 {
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    values.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / n
+/// Internal variance of the `n` values `value(i)`: `mean_i (g_i − ḡ)²` —
+/// the right-hand side of the MN gate (Eq. 2.3).
+pub(crate) fn internal_variance(n: usize, value: impl Fn(usize) -> f64) -> f64 {
+    let nf = n as f64;
+    let mean = (0..n).map(&value).sum::<f64>() / nf;
+    (0..n)
+        .map(&value)
+        .map(|v| (v - mean) * (v - mean))
+        .sum::<f64>()
+        / nf
 }
 
 /// Largest per-vertex noise variance `max_i σ_i²(t_i)` — the left-hand side
 /// of the MN gate.
 pub(crate) fn max_noise_variance<F: StochasticObjective>(eng: &Engine<F>) -> f64 {
-    eng.vertex_estimates()
-        .iter()
-        .map(|e| e.std_err * e.std_err)
+    (0..eng.n_vertices())
+        .map(|i| {
+            let e = eng.estimate(i);
+            e.std_err * e.std_err
+        })
         .fold(0.0, f64::max)
 }
 
@@ -143,7 +148,8 @@ mod tests {
     #[test]
     fn internal_variance_matches_population_variance() {
         // values 1,2,3: mean 2, mean square dev = 2/3.
-        assert!((internal_variance(&[1.0, 2.0, 3.0]) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(internal_variance(&[5.0, 5.0, 5.0]), 0.0);
+        let at = |values: [f64; 3]| move |i: usize| values[i];
+        assert!((internal_variance(3, at([1.0, 2.0, 3.0])) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(internal_variance(3, at([5.0, 5.0, 5.0])), 0.0);
     }
 }

@@ -18,11 +18,12 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::config::{BreakdownAction, NonFinitePolicy, SamplingPolicy, SimplexConfig};
-use crate::geometry::{self, centroid_excluding, diameter, ContractionLevel, Ordering};
+use crate::geometry::{self, ContractionLevel, Ordering};
 use crate::metrics::EngineMetrics;
 use crate::result::{RunMetrics, RunNote, RunResult};
 use crate::termination::{StopReason, Termination};
 use crate::trace::{StepKind, Trace, TracePoint};
+use std::cell::Cell;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
 use std::sync::{Arc, Mutex};
@@ -47,6 +48,19 @@ struct Slot<S> {
 impl<S> Slot<S> {
     fn stream(&self) -> &S {
         self.stream.as_ref().expect("stream in flight")
+    }
+}
+
+/// A slot is its point, so the geometry reads the simplex in place.
+impl<S> AsRef<[f64]> for Slot<S> {
+    fn as_ref(&self) -> &[f64] {
+        &self.x
+    }
+}
+
+impl<S> AsMut<[f64]> for Slot<S> {
+    fn as_mut(&mut self) -> &mut [f64] {
+        &mut self.x
     }
 }
 
@@ -118,6 +132,14 @@ pub struct Engine<'a, F: StochasticObjective> {
     /// `Some` while a driver polls the run: rounds are posted here instead
     /// of sampling in place on `backend`.
     pub(crate) mailbox: Option<Mailbox<F::Stream>>,
+    /// The vertex-set diameter, computed on first use after the vertices
+    /// last moved; [`Engine::replace_vertex`] and [`Engine::collapse`]
+    /// empty it. Derived state, never persisted.
+    diameter: Cell<Option<f64>>,
+    /// Round buffers reused by every round: the plan (slot, `dt`), and the
+    /// jobs the streams travel in, which `SerialBackend` hands back.
+    plan: Vec<(SlotId, f64)>,
+    jobs: Vec<StreamJob<F::Stream>>,
 }
 
 /// Panic on a run spec [`SimplexConfig::validate_start`] refuses.
@@ -197,12 +219,14 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             forced_robust: false,
             restored_metrics: None,
             mailbox: None,
+            diameter: Cell::new(None),
+            plan: Vec::new(),
+            jobs: Vec::new(),
         };
         for i in 0..eng.n_vertices {
             eng.configure_slot_stream(i);
         }
-        let ids: Vec<SlotId> = (0..eng.n_vertices).collect();
-        now(eng.extend_round(&ids));
+        now(eng.extend_vertices());
         eng
     }
 
@@ -295,32 +319,25 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         (0..self.n_vertices).map(|i| self.estimate(i)).collect()
     }
 
-    /// Observed values at all simplex vertices.
-    pub fn vertex_values(&self) -> Vec<f64> {
-        (0..self.n_vertices)
-            .map(|i| self.estimate(i).value)
-            .collect()
-    }
-
     /// Rank vertices by observed value.
     pub fn ordering(&self) -> Ordering {
-        geometry::order(&self.vertex_values())
+        geometry::order_by(self.n_vertices, |i| self.estimate(i).value)
     }
 
     /// Centroid of all vertices except `exclude`.
     pub fn centroid_excluding(&self, exclude: usize) -> Vec<f64> {
-        let pts: Vec<Vec<f64>> = (0..self.n_vertices)
-            .map(|i| self.slots[i].x.clone())
-            .collect();
-        centroid_excluding(&pts, exclude)
+        geometry::centroid_excluding(&self.slots[..self.n_vertices], exclude)
     }
 
-    /// Simplex diameter (Eq. 2.2).
+    /// Simplex diameter (Eq. 2.2), computed once per change of the vertex
+    /// set.
     pub fn diameter(&self) -> f64 {
-        let pts: Vec<Vec<f64>> = (0..self.n_vertices)
-            .map(|i| self.slots[i].x.clone())
-            .collect();
-        diameter(&pts)
+        if let Some(d) = self.diameter.get() {
+            return d;
+        }
+        let d = geometry::diameter(&self.slots[..self.n_vertices]);
+        self.diameter.set(Some(d));
+        d
     }
 
     /// Open a *trial* slot at `x` (reflection/expansion/contraction point).
@@ -342,8 +359,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         (self.n_vertices..self.slots.len()).collect()
     }
 
-    /// Plan one concurrent round driven by the listed slots: which slots
-    /// extend, and by how much.
+    /// Plan one concurrent round driven by the listed slots into `plan`:
+    /// which slots extend, and by how much.
     ///
     /// The listed slots drive the round: its duration is the maximum of
     /// their policy-scheduled increments. In parallel mode with continuous
@@ -351,22 +368,20 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// trial — samples for the full round window, because workers never sit
     /// idle while the master deliberates; the parallel-time cost is still
     /// one round. Otherwise only the listed slots extend.
-    fn plan_round(&self, ids: &[SlotId]) -> Vec<(SlotId, f64)> {
-        if ids.is_empty() {
-            return Vec::new();
+    fn plan_round(&self, ids: impl Iterator<Item = SlotId> + Clone, plan: &mut Vec<(SlotId, f64)>) {
+        plan.clear();
+        if ids.clone().next().is_none() {
+            return;
         }
         let policy = self.cfg.sampling;
         let piggyback = self.cfg.continuous && self.clock.mode() == TimeMode::Parallel;
         if piggyback {
             let dt_round = ids
-                .iter()
-                .map(|&id| policy.next_dt(self.estimate(id).time))
+                .map(|id| policy.next_dt(self.estimate(id).time))
                 .fold(0.0f64, f64::max);
-            (0..self.slots.len()).map(|id| (id, dt_round)).collect()
+            plan.extend((0..self.slots.len()).map(|id| (id, dt_round)));
         } else {
-            ids.iter()
-                .map(|&id| (id, policy.next_dt(self.estimate(id).time)))
-                .collect()
+            plan.extend(ids.map(|id| (id, policy.next_dt(self.estimate(id).time))));
         }
     }
 
@@ -375,7 +390,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// driver polls the run), and the returned streams are restored with
     /// clock/total-sampling charges applied in submission order — the fixed
     /// order that keeps accounting bit-identical across backends.
-    async fn dispatch(&mut self, plan: Vec<(SlotId, f64)>) {
+    async fn dispatch(&mut self, plan: &[(SlotId, f64)]) {
         if plan.is_empty() {
             return;
         }
@@ -384,33 +399,31 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             .iter()
             .map(|&(slot, _)| self.slots[slot].stream().nonfinite_samples())
             .sum();
-        let slots_in_round: Vec<SlotId> = plan.iter().map(|&(slot, _)| slot).collect();
-        let jobs: Vec<StreamJob<F::Stream>> = plan
-            .iter()
-            .map(|&(slot, dt)| StreamJob {
-                slot,
-                dt,
-                stream: self.slots[slot].stream.take().expect("stream in flight"),
-            })
-            .collect();
+        let mut jobs = std::mem::take(&mut self.jobs);
+        jobs.extend(plan.iter().map(|&(slot, dt)| StreamJob {
+            slot,
+            dt,
+            stream: self.slots[slot].stream.take().expect("stream in flight"),
+        }));
         self.clock.begin_round();
-        let done = match &self.mailbox {
+        let mut done = match &self.mailbox {
             None => self.backend.extend_batch(jobs),
             Some(mailbox) => round(mailbox, jobs).await,
         };
-        for job in done {
+        for job in done.drain(..) {
             self.clock.charge(job.dt);
             self.total_sampling += job.dt;
             self.slots[job.slot].stream = Some(job.stream);
         }
+        self.jobs = done;
         self.clock.end_round();
         if let Some(m) = &self.metrics {
             m.rounds.inc();
             m.sampling_time.add(self.total_sampling - sampled_before);
         }
-        let nf_after: u64 = slots_in_round
+        let nf_after: u64 = plan
             .iter()
-            .map(|&slot| self.slots[slot].stream().nonfinite_samples())
+            .map(|&(slot, _)| self.slots[slot].stream().nonfinite_samples())
             .sum();
         let delta = nf_after.saturating_sub(nf_before);
         if delta > 0 {
@@ -423,7 +436,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
                 self.poisoned = true;
             }
         }
-        self.check_breakdown(&slots_in_round);
+        self.check_breakdown(plan);
     }
 
     /// Breakdown-aware gating (DESIGN.md §14): after a round, scan the
@@ -434,11 +447,11 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// robust estimator (once per run). The diagnostic depends only on
     /// stream state, so the check — like everything downstream of it — is
     /// bit-identical across backends.
-    fn check_breakdown(&mut self, slots_in_round: &[SlotId]) {
+    fn check_breakdown(&mut self, plan: &[(SlotId, f64)]) {
         if self.cfg.breakdown.action == BreakdownAction::Off {
             return;
         }
-        let crossed = slots_in_round.iter().any(|&slot| {
+        let crossed = plan.iter().any(|&(slot, _)| {
             self.slots[slot]
                 .stream()
                 .tail_report()
@@ -468,8 +481,20 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// Extend sampling for one concurrent round (see `Engine::plan_round`
     /// for which slots extend and by how much).
     pub async fn extend_round(&mut self, ids: &[SlotId]) {
-        let plan = self.plan_round(ids);
-        self.dispatch(plan).await;
+        self.extend_slots(ids.iter().copied()).await;
+    }
+
+    /// [`extend_round`](Self::extend_round) driven by every vertex.
+    pub(crate) async fn extend_vertices(&mut self) {
+        self.extend_slots(0..self.n_vertices).await;
+    }
+
+    /// One round driven by `ids`, planned into the engine's plan buffer.
+    async fn extend_slots(&mut self, ids: impl Iterator<Item = SlotId> + Clone) {
+        let mut plan = std::mem::take(&mut self.plan);
+        self.plan_round(ids, &mut plan);
+        self.dispatch(&plan).await;
+        self.plan = plan;
     }
 
     /// Keep extending slot `id` (alone) until its standard error is at most
@@ -492,7 +517,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             if guard >= 10_000 {
                 return (self.estimate(id), Some(StopReason::Stalled));
             }
-            let mut plan = self.plan_round(&[id]);
+            let mut plan = std::mem::take(&mut self.plan);
+            self.plan_round(std::iter::once(id), &mut plan);
             if let Some(max_time) = self.term.max_time {
                 // budget_stop above guarantees remaining > 0 here.
                 let remaining = max_time - self.clock.elapsed();
@@ -500,7 +526,8 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
                     *dt = dt.min(remaining);
                 }
             }
-            now(self.dispatch(plan));
+            now(self.dispatch(&plan));
+            self.plan = plan;
             guard += 1;
         }
     }
@@ -510,6 +537,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     pub fn replace_vertex(&mut self, v: usize, trial: SlotId) {
         assert!(v < self.n_vertices && trial >= self.n_vertices);
         self.slots.swap(v, trial);
+        self.diameter.set(None);
     }
 
     /// Discard all trial slots (their sampling is abandoned, as when the
@@ -526,23 +554,16 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// every other vertex moves halfway towards it and restarts sampling
     /// from scratch at its new location (one concurrent round).
     pub async fn collapse(&mut self, keep: usize) {
-        let beta = self.cfg.coefficients.beta;
-        let keep_x = self.slots[keep].x.clone();
-        let mut fresh: Vec<SlotId> = Vec::new();
-        for i in 0..self.n_vertices {
-            if i == keep {
-                continue;
-            }
-            for (xj, kj) in self.slots[i].x.iter_mut().zip(&keep_x) {
-                *xj = beta * *xj + (1.0 - beta) * kj;
-            }
+        let n = self.n_vertices;
+        geometry::collapse_towards(&mut self.slots[..n], keep, self.cfg.coefficients.beta);
+        self.diameter.set(None);
+        let fresh = (0..n).filter(move |&i| i != keep);
+        for i in fresh.clone() {
             let seed = self.seeds.next_seed();
-            let x = self.slots[i].x.clone();
-            self.slots[i].stream = Some(self.objective.open(&x, seed));
+            self.slots[i].stream = Some(self.objective.open(&self.slots[i].x, seed));
             self.configure_slot_stream(i);
-            fresh.push(i);
         }
-        self.extend_round(&fresh).await;
+        self.extend_slots(fresh).await;
         self.level.on_collapse(self.dim());
     }
 
@@ -598,7 +619,10 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     /// Full termination check: Eq. 2.9 spread first, then geometric
     /// degeneracy, then budgets.
     pub fn should_stop(&self) -> Option<StopReason> {
-        if self.term.spread_met(&self.vertex_values()) {
+        if self
+            .term
+            .spread_met_by(self.n_vertices, |i| self.estimate(i).value)
+        {
             return Some(StopReason::Tolerance);
         }
         if self.is_degenerate() {
@@ -891,6 +915,9 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             forced_robust,
             restored_metrics,
             mailbox: None,
+            diameter: Cell::new(None),
+            plan: Vec::new(),
+            jobs: Vec::new(),
         })
     }
 
@@ -1040,7 +1067,8 @@ fn read_metrics(r: &mut Reader<'_>) -> Result<RunMetrics, CodecError> {
 mod tests {
     use super::*;
     use crate::config::SimplexConfig;
-    use stoch_eval::functions::Sphere;
+    use proptest::prelude::*;
+    use stoch_eval::functions::{Rosenbrock, Sphere};
     use stoch_eval::noise::{ConstantNoise, ZeroNoise};
     use stoch_eval::sampler::Noisy;
 
@@ -1166,6 +1194,85 @@ mod tests {
             3,
         );
         assert_eq!(eng.should_stop(), Some(StopReason::Tolerance));
+    }
+
+    fn vertex_points<F: StochasticObjective>(eng: &Engine<'_, F>) -> Vec<Vec<f64>> {
+        (0..eng.n_vertices())
+            .map(|i| eng.point(i).to_vec())
+            .collect()
+    }
+
+    /// A run on noisy Rosenbrock, sampling in place, advanced by up to
+    /// `steps` classic steps.
+    fn advanced<'a>(
+        obj: &'a Noisy<Rosenbrock, ConstantNoise>,
+        seed: u64,
+        steps: usize,
+    ) -> Engine<'a, Noisy<Rosenbrock, ConstantNoise>> {
+        let d = obj.dim();
+        let init = crate::init::random_uniform(d, -4.0, 4.0, seed);
+        let (cfg, term, mode) = (
+            SimplexConfig::default(),
+            Termination::default(),
+            TimeMode::Parallel,
+        );
+        let serial = Arc::new(stoch_eval::backend::SerialBackend);
+        let mut eng = Engine::new_with_backend(obj, init, cfg, term, mode, seed, serial);
+        for _ in 0..steps {
+            if now(crate::classic::classic_iteration(&mut eng)).is_some() {
+                break;
+            }
+        }
+        eng
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn in_place_geometry_matches_the_slice_functions(
+            d in 2usize..7,
+            seed in 0u64..1_000,
+            steps in 0usize..60,
+        ) {
+            let obj = Noisy::gaussian(Rosenbrock::new(d), ConstantNoise(10.0));
+            let eng = advanced(&obj, seed, steps);
+            let pts = vertex_points(&eng);
+            prop_assert_eq!(eng.diameter().to_bits(), geometry::diameter(&pts).to_bits());
+            for ex in 0..=d {
+                let bits = |c: Vec<f64>| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(
+                    bits(eng.centroid_excluding(ex)),
+                    bits(geometry::centroid_excluding(&pts, ex))
+                );
+            }
+            let values: Vec<f64> = eng.vertex_estimates().iter().map(|e| e.value).collect();
+            prop_assert_eq!(eng.ordering(), geometry::order(&values));
+        }
+
+        #[test]
+        fn cached_diameter_follows_every_vertex_change(
+            d in 2usize..6,
+            seed in 0u64..1_000,
+            steps in 0usize..30,
+            v in 0usize..6,
+        ) {
+            let obj = Noisy::gaussian(Rosenbrock::new(d), ConstantNoise(10.0));
+            let mut eng = advanced(&obj, seed, steps);
+            let v = v % eng.n_vertices();
+            let fresh = |eng: &Engine<'_, _>| geometry::diameter(&vertex_points(eng)).to_bits();
+
+            eng.diameter(); // fill the cache
+            let far: Vec<f64> = eng.point(v).iter().map(|x| 3.0 * x + 1.0).collect();
+            let t = eng.open_trial(far);
+            now(eng.extend_round(&[t]));
+            eng.replace_vertex(v, t);
+            eng.drop_trials();
+            prop_assert_eq!(eng.diameter().to_bits(), fresh(&eng));
+
+            now(eng.collapse(v));
+            prop_assert_eq!(eng.diameter().to_bits(), fresh(&eng));
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! size/contraction-level bookkeeping of §2.2.
 //!
 //! All functions here are deterministic and allocation-explicit; the
-//! stochastic decision logic lives in the per-algorithm modules.
+//! stochastic decision logic lives in the per-algorithm modules. The
+//! vertex-set functions take any `P: AsRef<[f64]>`, so the engine passes
+//! its slots in place instead of copying the points out.
 
 /// Nelder–Mead transformation coefficients (§2.1). The paper's optimal
 /// settings are `α = 1` (reflection), `β = 0.5` (contraction), `γ = 2`
@@ -59,8 +61,8 @@ impl Coefficients {
 }
 
 /// Centroid of `points`, excluding index `exclude`.
-pub fn centroid_excluding(points: &[Vec<f64>], exclude: usize) -> Vec<f64> {
-    let d = points[0].len();
+pub fn centroid_excluding<P: AsRef<[f64]>>(points: &[P], exclude: usize) -> Vec<f64> {
+    let d = points[0].as_ref().len();
     let n = points.len() - 1;
     assert!(n >= 1, "need at least two points");
     let mut c = vec![0.0; d];
@@ -68,7 +70,7 @@ pub fn centroid_excluding(points: &[Vec<f64>], exclude: usize) -> Vec<f64> {
         if i == exclude {
             continue;
         }
-        for (cj, pj) in c.iter_mut().zip(p) {
+        for (cj, pj) in c.iter_mut().zip(p.as_ref()) {
             *cj += pj;
         }
     }
@@ -110,13 +112,12 @@ pub fn contract(centroid: &[f64], worst: &[f64], beta: f64) -> Vec<f64> {
 
 /// Collapse every point (except `keep`) halfway towards point `keep`:
 /// `θ_i ← β·θ_i + (1 − β)·θ_min`.
-pub fn collapse_towards(points: &mut [Vec<f64>], keep: usize, beta: f64) {
-    let towards = points[keep].clone();
-    for (i, p) in points.iter_mut().enumerate() {
-        if i == keep {
-            continue;
-        }
-        for (pj, tj) in p.iter_mut().zip(&towards) {
+pub fn collapse_towards<P: AsMut<[f64]>>(points: &mut [P], keep: usize, beta: f64) {
+    let (before, rest) = points.split_at_mut(keep);
+    let (towards, after) = rest.split_first_mut().expect("keep is a point index");
+    let towards = towards.as_mut();
+    for p in before.iter_mut().chain(after) {
+        for (pj, tj) in p.as_mut().iter_mut().zip(&*towards) {
             *pj = beta * *pj + (1.0 - beta) * tj;
         }
     }
@@ -132,11 +133,11 @@ pub fn distance(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Simplex "diameter" per Eq. 2.2: the maximum pairwise vertex distance.
-pub fn diameter(points: &[Vec<f64>]) -> f64 {
+pub fn diameter<P: AsRef<[f64]>>(points: &[P]) -> f64 {
     let mut d = 0.0f64;
     for i in 0..points.len() {
         for j in i + 1..points.len() {
-            d = d.max(distance(&points[i], &points[j]));
+            d = d.max(distance(points[i].as_ref(), points[j].as_ref()));
         }
     }
     d
@@ -183,24 +184,52 @@ pub struct Ordering {
 ///
 /// Ties are broken by index for determinism. Requires at least two values.
 pub fn order(values: &[f64]) -> Ordering {
-    assert!(values.len() >= 2, "simplex needs >= 2 vertices");
-    let mut idx: Vec<usize> = (0..values.len()).collect();
-    idx.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .expect("NaN objective value")
-            .then(a.cmp(&b))
-    });
-    Ordering {
-        min: idx[0],
-        smax: idx[idx.len() - 2],
-        max: idx[idx.len() - 1],
+    order_by(values.len(), |i| values[i])
+}
+
+/// [`order`] over `n` values read through `value(i)`, each once, in one
+/// pass: vertices rank by `(value, index)`, so among equal values (`-0.0`
+/// equals `0.0`) the higher index ranks higher.
+///
+/// # Panics
+/// If `n < 2`, or with `"NaN objective value"` if any value is NaN.
+pub fn order_by(n: usize, value: impl Fn(usize) -> f64) -> Ordering {
+    assert!(n >= 2, "simplex needs >= 2 vertices");
+    // Whether a later vertex valued `later` ranks above an earlier one
+    // valued `earlier`. Every value meets this test at least once.
+    let above = |later: f64, earlier: f64| {
+        later.partial_cmp(&earlier).expect("NaN objective value") != std::cmp::Ordering::Less
+    };
+    let (v0, v1) = (value(0), value(1));
+    let ((lo, v_lo), (hi, v_hi)) = if above(v1, v0) {
+        ((0, v0), (1, v1))
+    } else {
+        ((1, v1), (0, v0))
+    };
+    let mut o = Ordering {
+        min: lo,
+        smax: lo,
+        max: hi,
+    };
+    let (mut v_min, mut v_smax, mut v_max) = (v_lo, v_lo, v_hi);
+    for i in 2..n {
+        let v = value(i);
+        if above(v, v_max) {
+            (o.smax, v_smax) = (o.max, v_max);
+            (o.max, v_max) = (i, v);
+        } else if above(v, v_smax) {
+            (o.smax, v_smax) = (i, v);
+        } else if v < v_min {
+            (o.min, v_min) = (i, v);
+        }
     }
+    o
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn default_coefficients_are_the_papers() {
@@ -323,6 +352,65 @@ mod tests {
         assert_eq!(o.min, 0);
         assert_eq!(o.smax, 1);
         assert_eq!(o.max, 2);
+    }
+
+    /// The sort-based ranking `order_by` replaced, kept as its oracle.
+    fn sorted_order(values: &[f64]) -> Ordering {
+        let mut idx: Vec<usize> = (0..values.len()).collect();
+        idx.sort_by(|&a, &b| {
+            values[a]
+                .partial_cmp(&values[b])
+                .expect("NaN objective value")
+                .then(a.cmp(&b))
+        });
+        Ordering {
+            min: idx[0],
+            smax: idx[idx.len() - 2],
+            max: idx[idx.len() - 1],
+        }
+    }
+
+    /// Values drawn from a small palette, so ties, infinities and both
+    /// zeros are common.
+    const PALETTE: [f64; 8] = [
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        1.0,
+        2.5,
+        1e300,
+        f64::INFINITY,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_order_matches_the_sort(picks in collection::vec(0usize..8, 2..12)) {
+            let values: Vec<f64> = picks.iter().map(|&p| PALETTE[p]).collect();
+            let want = sorted_order(&values);
+            prop_assert_eq!(order(&values), want, "{:?}", values);
+            prop_assert_eq!(order_by(values.len(), |i| values[i]), want);
+        }
+
+        #[test]
+        fn nan_anywhere_panics_as_before(
+            picks in collection::vec(0usize..8, 2..12),
+            at in 0usize..12,
+        ) {
+            let mut values: Vec<f64> = picks.iter().map(|&p| PALETTE[p]).collect();
+            let at = at % values.len();
+            values[at] = f64::NAN;
+            for rank in [order, sorted_order] {
+                let err = std::panic::catch_unwind(|| rank(&values)).expect_err("NaN must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| err.downcast_ref::<&str>().copied());
+                prop_assert!(msg.is_some_and(|m| m.contains("NaN objective value")), "{:?}", msg);
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //!   resampling of only the points involved.
 //! * [`PcMn`] — PC+MN (Algorithm 4): both gates combined.
 //! * [`AndersonNm`] — the Anderson et al. (2000)
-//!   convergence criterion (Eq. 2.4) inside Nelder–Mead; plus
-//!   [`AndersonSearch`], the structure-based
-//!   direct search, as an extension.
+//!   convergence criterion (Eq. 2.4) inside Nelder–Mead.
 //! * [`baselines`] — SPSA, simulated annealing, and random search on the
 //!   same sampling substrate (extensions).
 //! * [`pso`] — particle swarm optimization and the PSO + stochastic-simplex
@@ -73,7 +71,7 @@ pub mod trace;
 /// Convenient glob import for typical use.
 pub mod prelude {
     pub use crate::algorithm::{Method, SimplexMethod};
-    pub use crate::anderson::{AndersonNm, AndersonSearch};
+    pub use crate::anderson::AndersonNm;
     pub use crate::baselines::{RandomSearch, SimulatedAnnealing, Spsa};
     pub use crate::checkpoint::{CheckpointConfig, CheckpointError, SnapshotInfo};
     pub use crate::config::{

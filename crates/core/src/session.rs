@@ -99,7 +99,8 @@ async fn step_body<F: StochasticObjective>(
         Driver::Det | Driver::Pc(_) => None,
         Driver::Mn(p) | Driver::PcMn(p, _) => {
             gate_wait(eng, |e| {
-                max_noise_variance(e) <= p.k * internal_variance(&e.vertex_values())
+                let value = |i| e.estimate(i).value;
+                max_noise_variance(e) <= p.k * internal_variance(e.n_vertices(), value)
             })
             .await
         }

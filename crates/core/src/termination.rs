@@ -67,11 +67,17 @@ impl Termination {
 
     /// Check the Eq. 2.9 spread criterion against observed vertex values.
     pub fn spread_met(&self, values: &[f64]) -> bool {
+        self.spread_met_by(values.len(), |i| values[i])
+    }
+
+    /// [`spread_met`](Self::spread_met) over `n` values read through
+    /// `value(i)`, so a caller can test values where they live.
+    pub fn spread_met_by(&self, n: usize, value: impl Fn(usize) -> f64) -> bool {
         match self.tolerance {
             None => false,
             Some(tau) => {
-                let min = values.iter().copied().fold(f64::INFINITY, f64::min);
-                values.iter().all(|&v| (v - min).abs() <= tau)
+                let min = (0..n).map(&value).fold(f64::INFINITY, f64::min);
+                (0..n).all(|i| (value(i) - min).abs() <= tau)
             }
         }
     }

@@ -273,30 +273,3 @@ fn adaptive_coefficients_are_competitive_in_higher_dimensions() {
         "adaptive {adaptive_log} vs classical {classical_log} (sum log10 over 3 seeds)"
     );
 }
-
-#[test]
-fn anderson_structure_search_runs_on_noisy_surface() {
-    let sphere = Sphere::new(3);
-    let obj = Noisy::new(sphere, ConstantNoise(1.0));
-    let init = init::random_uniform(3, 1.0, 4.0, 9);
-    let start_best = init
-        .iter()
-        .map(|p| sphere.value(p))
-        .fold(f64::INFINITY, f64::min);
-    let res = AndersonSearch {
-        cfg: SimplexConfig::default(),
-        params: AndersonParams { k1: 64.0, k2: 0.0 },
-    }
-    .run(
-        &obj,
-        init,
-        Termination {
-            tolerance: Some(1e-4),
-            max_time: Some(3e4),
-            max_iterations: Some(2_000),
-        },
-        TimeMode::Parallel,
-        9,
-    );
-    assert!(sphere.value(&res.best_point) < start_best);
-}
