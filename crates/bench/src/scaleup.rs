@@ -176,8 +176,8 @@ pub fn scaleup_rosenbrock_with_metrics(
                 points[ord.max] = con_x;
                 values[ord.max] = g_con;
             } else {
-                // Collapse towards the best vertex and re-evaluate everyone
-                // concurrently (one task per worker).
+                // Collapse towards the best vertex and re-evaluate every
+                // moved vertex as one round.
                 let keep = points[ord.min].clone();
                 let mut tasks = Vec::new();
                 for (i, p) in points.iter_mut().enumerate() {
@@ -187,14 +187,12 @@ pub fn scaleup_rosenbrock_with_metrics(
                     for (pj, kj) in p.iter_mut().zip(&keep) {
                         *pj = 0.5 * *pj + 0.5 * kj;
                     }
-                    tasks.push((i, eval(p, seed_gen())));
+                    tasks.push(eval(p, seed_gen()));
                 }
-                let handles: Vec<_> = tasks
-                    .into_iter()
-                    .map(|(i, t)| (i, driver.dispatch(t)))
-                    .collect();
-                for (i, h) in handles {
-                    values[i] = h.recv().expect("MW worker lost");
+                let outs = driver.dispatch_all(tasks).expect("MW worker lost");
+                let moved = (0..values.len()).filter(|&i| i != ord.min);
+                for (i, v) in moved.zip(outs) {
+                    values[i] = v;
                 }
             }
         }

@@ -43,7 +43,7 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
     const DEFAULT_TIMEOUT: Option<Duration> = None;
 
     fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
-        let round = self.submit_round(jobs.to_vec(), extend_job);
+        let round = self.submit_round(jobs.to_vec(), |job, _worker| extend_job(job));
         (0..jobs.len())
             .map(|pos| Shipped::Ticket((Arc::clone(&round), pos)))
             .collect()

@@ -6,30 +6,27 @@
 //! of the original `MWRMComm` layer. Tasks and workers never communicate
 //! with each other, only with the master, exactly as in §3.1.
 //!
-//! Work reaches the workers over one shared queue, in two shapes:
-//!
-//! * [`MwPool::submit`] queues one closure, whose result comes back over its
-//!   own channel to a [`JobHandle`];
-//! * a sampling round (`MwPool::submit_round`, behind the threaded backend)
-//!   is one shared round with a slot per job, reached through queue
-//!   entries that all point at it: the master queues one, and each worker
-//!   that joins queues the next while jobs are left, up to one entry per
-//!   worker. A worker that takes an entry claims the round's jobs one at a
-//!   time until none are left, and each result lands in its job's slot.
-//!   The master is woken when the last job it still awaits in the round
-//!   lands, or when a job is lost — once per round, not once per job,
-//!   which is how the paper's master waits on its d+3 workers.
+//! Work reaches the workers in one shape, the round: a slot per job, reached
+//! through entries on one shared queue that all point at it. The master
+//! queues one entry, and each worker that joins queues the next while jobs
+//! are left, up to one entry per worker. A worker that takes an entry claims
+//! the round's jobs one at a time until none are left, and each result
+//! lands in its job's slot. The master is woken when the last job it still
+//! awaits in the round lands, or when a job is lost — once per round, not
+//! once per job, which is how the paper's master waits on its d+3 workers.
+//! A sampling round (`MwPool::submit_round`, behind the threaded backend)
+//! carries one job per stream extension; a closure passed to
+//! [`MwPool::submit`] ships as a round of one, read by its [`JobHandle`].
 //!
 //! The pool is *supervised* (DESIGN.md §9): every worker slot carries a
 //! liveness flag armed by an RAII guard on the worker thread, so a worker
 //! that panics or is reclaimed mid-job (the paper's §4.2 Condor scenario) is
 //! detected by [`MwPool::supervise`], which joins the corpse and respawns a
 //! fresh worker into the slot while a respawn budget remains. A lost job is
-//! never silent: a single job's result channel disconnects and its
-//! [`JobHandle`] reports [`WorkerLost`]; a round job held by a dying worker
-//! (or whose result was dropped) turns Lost in its slot, as do a round's
-//! unclaimed jobs once no queue entry for the round is left. Faults, job
-//! counters and losses are all per job, inside a round as outside one.
+//! never silent: a job held by a dying worker (or whose result was dropped)
+//! turns Lost in its slot, as do a round's unclaimed jobs once no queue
+//! entry for the round is left, and a [`JobHandle`] on it reports
+//! [`WorkerLost`]. Faults, job counters and losses are all per job.
 //! When the budget is exhausted and every worker is dead the pool marks
 //! itself failed, drains the queue (erroring every pending job), and all
 //! further submissions fail fast — callers degrade gracefully rather than
@@ -37,25 +34,16 @@
 
 use crate::faults::{FaultPlan, WorkerFault};
 use crate::resilience::BackoffPolicy;
-use crossbeam_channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{unbounded, Receiver, Sender};
 use obs::{Counter, Gauge, MetricsRegistry};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A unit of work: called with the worker's slot index and a flag telling it
-/// to discard (not send) its result — the fault injector's lost-message case.
-type Job = Box<dyn FnOnce(usize, bool) + Send + 'static>;
-
-/// What a worker takes off the queue.
-enum Entry {
-    /// One closure from [`MwPool::submit`].
-    Job(Job),
-    /// A way into a shipped round: its holder claims the round's jobs until
-    /// none are left.
-    Round(Share),
-}
+/// A closure from [`MwPool::submit`], called with the id of the worker that
+/// claims it.
+type Thunk<R> = Box<dyn FnOnce(usize) -> R + Send>;
 
 /// Per-worker execution counters.
 #[derive(Debug, Default)]
@@ -103,10 +91,10 @@ impl PoolObs {
     }
 }
 
-/// Wakes masters blocked in a batch wait whenever something that can change
-/// a pending job's outcome happens: a single job finishes (result sent *or*
-/// dropped), a round's last awaited job lands, a round job is lost, a worker
-/// dies, or the failed-pool drain discards queued work. Callers snapshot
+/// Wakes masters blocked on a round whenever something that can change a
+/// pending job's outcome happens: a round's last awaited job lands, a job
+/// is lost (its worker died holding it or dropped its result, or no queue
+/// entry for its round is left), or a worker dies. Callers snapshot
 /// [`generation`](CompletionNotifier::generation) *before* scanning their
 /// handles, then [`wait`](CompletionNotifier::wait)
 /// on that snapshot — a completion racing the scan bumps past the snapshot
@@ -193,11 +181,10 @@ enum RoundJob<T, R> {
     Running,
     /// Finished at the given instant, not yet collected by the master.
     Done(R, Instant),
-    /// Will never answer: its worker died holding it or dropped its result,
-    /// or no worker was left to claim it.
+    /// Will never answer (again): its worker died holding it or dropped its
+    /// result, no worker was left to claim it, or the master already
+    /// collected its result.
     Lost,
-    /// Collected by the master.
-    Collected,
 }
 
 /// One job's slot in a [`Round`].
@@ -211,7 +198,8 @@ struct RoundSlot<T, R> {
 /// cursor shared by the queue entries serving the round, and the count that
 /// decides when the master is woken.
 pub(crate) struct Round<T, R> {
-    work: fn(T) -> R,
+    /// Runs one job, given the id of the worker that claimed it.
+    work: fn(T, usize) -> R,
     slots: Vec<Mutex<RoundSlot<T, R>>>,
     /// The next unclaimed position.
     next: AtomicUsize,
@@ -221,7 +209,7 @@ pub(crate) struct Round<T, R> {
     /// worker.
     spare: AtomicUsize,
     /// The pool's job queue; gone once the pool shuts down.
-    queue: Weak<Sender<Entry>>,
+    queue: Weak<Sender<Share>>,
     /// Jobs the master still waits for: neither resolved nor forgotten.
     awaited: AtomicUsize,
     notifier: Arc<CompletionNotifier>,
@@ -236,16 +224,47 @@ impl<T, R> Round<T, R> {
 
     /// Take job `pos`'s outcome if it has one: its result and when its
     /// worker finished it, or [`WorkerLost`]. `None` while it is queued or
-    /// running.
+    /// running. A taken result cannot arrive again, so the slot then reads
+    /// as Lost.
     pub(crate) fn poll(&self, pos: usize) -> Option<Result<(R, Instant), WorkerLost>> {
         let mut slot = self.slot(pos);
         match slot.job {
-            RoundJob::Lost => Some(Err(WorkerLost)),
-            RoundJob::Done(..) => match std::mem::replace(&mut slot.job, RoundJob::Collected) {
+            RoundJob::Queued(_) | RoundJob::Running => None,
+            _ => match std::mem::replace(&mut slot.job, RoundJob::Lost) {
                 RoundJob::Done(r, finished) => Some(Ok((r, finished))),
-                _ => None,
+                _ => Some(Err(WorkerLost)),
             },
-            _ => None,
+        }
+    }
+
+    /// Block until job `pos` has an outcome, and take it; `None` once
+    /// `deadline` has passed without one.
+    pub(crate) fn recv_until(
+        &self,
+        pos: usize,
+        deadline: Instant,
+    ) -> Option<Result<R, WorkerLost>> {
+        loop {
+            // Snapshot before polling: an outcome landing in between bumps
+            // past the snapshot, and the wait returns at once.
+            let seen = self.notifier.generation();
+            if let Some(outcome) = self.poll(pos) {
+                return Some(outcome.map(|(r, _)| r));
+            }
+            self.notifier
+                .wait(seen, deadline.checked_duration_since(Instant::now())?);
+        }
+    }
+
+    /// Block until job `pos` has an outcome, and take it.
+    pub(crate) fn recv(&self, pos: usize) -> Result<R, WorkerLost> {
+        loop {
+            // The notifier is bumped once the round's last awaited job lands
+            // or a job is lost, so the hour only bounds one sleep.
+            let deadline = Instant::now() + Duration::from_secs(3600);
+            if let Some(outcome) = self.recv_until(pos, deadline) {
+                return outcome;
+            }
         }
     }
 
@@ -273,14 +292,15 @@ impl<T, R> Round<T, R> {
 trait RoundWork: Send + Sync {
     /// Claim the next unclaimed job, or `None` once every job is claimed.
     fn claim(&self) -> Option<usize>;
-    /// Run claimed job `pos`, keeping its result unless `drop_result`.
-    fn run(&self, pos: usize, drop_result: bool);
+    /// Run claimed job `pos` on worker `worker`, keeping its result unless
+    /// `drop_result`.
+    fn run(&self, pos: usize, worker: usize, drop_result: bool);
     /// Claimed job `pos` will never answer.
     fn lose(&self, pos: usize);
     /// Take one of the round's spare entries, if a job is still unclaimed
     /// and the pool is up: the queue to put it on, with the entry already
     /// counted in the round's shares.
-    fn spare_entry(&self) -> Option<Arc<Sender<Entry>>>;
+    fn spare_entry(&self) -> Option<Arc<Sender<Share>>>;
     /// One queue entry for the round is gone. When it was the last, every
     /// job still unclaimed turns Lost.
     fn release(&self);
@@ -295,12 +315,12 @@ impl<T: Send, R: Send> RoundWork for Round<T, R> {
         })
     }
 
-    fn run(&self, pos: usize, drop_result: bool) {
+    fn run(&self, pos: usize, worker: usize, drop_result: bool) {
         let RoundJob::Queued(input) = std::mem::replace(&mut self.slot(pos).job, RoundJob::Running)
         else {
             return; // claims are unique, so a claimed job is always queued
         };
-        let out = (self.work)(input);
+        let out = (self.work)(input, worker);
         let job = if drop_result {
             RoundJob::Lost
         } else {
@@ -317,7 +337,7 @@ impl<T: Send, R: Send> RoundWork for Round<T, R> {
         }
     }
 
-    fn spare_entry(&self) -> Option<Arc<Sender<Entry>>> {
+    fn spare_entry(&self) -> Option<Arc<Sender<Share>>> {
         if self.next.load(Ordering::Acquire) >= self.slots.len() {
             return None;
         }
@@ -372,7 +392,7 @@ impl Share {
     fn invite(&self) {
         if let Some(queue) = self.0.spare_entry() {
             // An entry the queue refuses drops here, like any other share.
-            let _ = queue.send(Entry::Round(Share(Arc::clone(&self.0))));
+            let _ = queue.send(Share(Arc::clone(&self.0)));
         }
     }
 }
@@ -385,7 +405,7 @@ impl Drop for Share {
 
 /// A round job in a worker's hand. Dropped without having run — its worker
 /// died holding it, or the job panicked — it turns Lost and the master is
-/// woken, as a single job's dropped result sender disconnects its handle.
+/// woken.
 struct Claim<'a> {
     round: &'a dyn RoundWork,
     pos: usize,
@@ -393,8 +413,8 @@ struct Claim<'a> {
 }
 
 impl Claim<'_> {
-    fn run(mut self, drop_result: bool) {
-        self.round.run(self.pos, drop_result);
+    fn run(mut self, worker: usize, drop_result: bool) {
+        self.round.run(self.pos, worker, drop_result);
         self.ran = true;
     }
 }
@@ -450,24 +470,18 @@ impl RetryPolicy {
     }
 }
 
-/// A handle on a submitted job's eventual result.
+/// A handle on a submitted job's eventual result: the slot of the round of
+/// one the job shipped as.
 ///
 /// Every receive path is non-panicking: a lost worker surfaces as
 /// [`WorkerLost`], never as a poisoned thread or an unwrap.
 pub struct JobHandle<R> {
-    rx: Receiver<R>,
+    round: Arc<Round<Thunk<R>, R>>,
     /// When the job was submitted — the anchor for attempt deadlines.
     dispatched: Instant,
 }
 
 impl<R> JobHandle<R> {
-    fn new(rx: Receiver<R>) -> Self {
-        JobHandle {
-            rx,
-            dispatched: Instant::now(),
-        }
-    }
-
     /// Time since the job was dispatched (submitted to the pool). This is
     /// the attempt's age, independent of when the caller started waiting.
     pub fn elapsed(&self) -> Duration {
@@ -477,7 +491,7 @@ impl<R> JobHandle<R> {
     /// Block until the worker finishes; reports [`WorkerLost`] if the worker
     /// died mid-job (or the job was dropped by a failed pool).
     pub fn recv(self) -> Result<R, WorkerLost> {
-        self.rx.recv().map_err(|_| WorkerLost)
+        self.round.recv(0)
     }
 
     /// Block until the job is `timeout` old, measured **from dispatch**, not
@@ -490,22 +504,15 @@ impl<R> JobHandle<R> {
     /// [`MwPool::supervise`] pass), `Err(WorkerLost)` if the result can no
     /// longer arrive.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<R>, WorkerLost> {
-        let remaining = timeout.saturating_sub(self.elapsed());
-        match self.rx.recv_timeout(remaining) {
-            Ok(r) => Ok(Some(r)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(WorkerLost),
-        }
+        self.round
+            .recv_until(0, self.dispatched + timeout)
+            .transpose()
     }
 
     /// Non-blocking poll with the same contract as
     /// [`recv_timeout`](JobHandle::recv_timeout).
     pub fn try_recv(&self) -> Result<Option<R>, WorkerLost> {
-        match self.rx.try_recv() {
-            Ok(r) => Ok(Some(r)),
-            Err(crossbeam_channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam_channel::TryRecvError::Disconnected) => Err(WorkerLost),
-        }
+        self.round.poll(0).map(|o| o.map(|(r, _)| r)).transpose()
     }
 }
 
@@ -553,7 +560,7 @@ struct Slot {
 struct Core {
     /// Shared so rounds can queue their own entries (see [`Share::invite`])
     /// without keeping the queue open once the pool shuts down.
-    job_tx: Option<Arc<Sender<Entry>>>,
+    job_tx: Option<Arc<Sender<Share>>>,
     slots: Vec<Slot>,
     respawn_budget: u64,
     shutdown_outcome: Option<Result<usize, ShutdownError>>,
@@ -564,7 +571,7 @@ pub struct MwPool {
     core: Mutex<Core>,
     /// Kept so the master can respawn workers onto the same queue and drain
     /// it when the pool fails; also means `send` cannot race a disconnect.
-    job_rx: Receiver<Entry>,
+    job_rx: Receiver<Share>,
     n_workers: usize,
     stats: Arc<Vec<WorkerStats>>,
     queue_depth: Arc<AtomicU64>,
@@ -602,8 +609,8 @@ impl Drop for AliveGuard {
                 c.inc();
             }
         }
-        // A worker exit can disconnect an in-flight job's channel; wake any
-        // master blocked on a batch so it observes the loss now.
+        // Wake any master blocked on a round, so that a supervision pass it
+        // makes next finds this slot dead.
         self.notifier.bump();
     }
 }
@@ -669,9 +676,8 @@ fn spawn_worker(
     w: usize,
     incarnation: u32,
     fault: WorkerFault,
-    rx: Receiver<Entry>,
+    rx: Receiver<Share>,
     stats: Arc<Vec<WorkerStats>>,
-    queue_depth: Arc<AtomicU64>,
     alive: Arc<AtomicBool>,
     lost: Arc<AtomicU64>,
     notifier: Arc<CompletionNotifier>,
@@ -684,7 +690,7 @@ fn spawn_worker(
                 alive,
                 lost,
                 lost_obs: obs.as_ref().map(|o| Arc::clone(&o.workers_lost)),
-                notifier: Arc::clone(&notifier),
+                notifier,
                 defused: false,
             };
             let mut me = Worker {
@@ -702,45 +708,27 @@ fn spawn_worker(
             // slot dead or it would skip the respawn.
             loop {
                 let t_wait = Instant::now();
-                let Ok(entry) = rx.recv() else {
+                let Ok(share) = rx.recv() else {
                     // Master dropped the job sender: clean shutdown.
                     guard.defused = true;
                     break;
                 };
-                match entry {
-                    Entry::Job(job) => {
-                        me.idle_since(t_wait);
-                        queue_depth.fetch_sub(1, Ordering::Relaxed);
-                        let Some(drop_result) = me.admit() else {
-                            drop(guard);
-                            drop(job);
-                            return;
-                        };
-                        me.execute(|| job(w, drop_result));
-                        // The job either sent its result or dropped the
-                        // sender (injected loss): either way a pending
-                        // handle resolved.
-                        notifier.bump();
-                    }
-                    Entry::Round(share) => {
-                        // Claim before accounting the wait, so a worker's
-                        // idle time moves only once it holds a round job
-                        // (or found the round already claimed).
-                        let mut claim = share.claim();
-                        if claim.is_some() {
-                            share.invite();
-                        }
-                        me.idle_since(t_wait);
-                        while let Some(job) = claim {
-                            let Some(drop_result) = me.admit() else {
-                                drop(guard);
-                                drop(job);
-                                return;
-                            };
-                            me.execute(|| job.run(drop_result));
-                            claim = share.claim();
-                        }
-                    }
+                // Claim before accounting the wait, so a worker's idle time
+                // moves only once it holds a job (or found the round
+                // already claimed).
+                let mut claim = share.claim();
+                if claim.is_some() {
+                    share.invite();
+                }
+                me.idle_since(t_wait);
+                while let Some(job) = claim {
+                    let Some(drop_result) = me.admit() else {
+                        drop(guard);
+                        drop(job);
+                        return;
+                    };
+                    me.execute(|| job.run(w, drop_result));
+                    claim = share.claim();
                 }
             }
         })
@@ -795,7 +783,7 @@ impl MwPool {
         registry: Option<&MetricsRegistry>,
     ) -> Self {
         assert!(n_workers >= 1);
-        let (job_tx, job_rx) = unbounded::<Entry>();
+        let (job_tx, job_rx) = unbounded::<Share>();
         let stats: Arc<Vec<WorkerStats>> =
             Arc::new((0..n_workers).map(|_| WorkerStats::default()).collect());
         let queue_depth = Arc::new(AtomicU64::new(0));
@@ -814,7 +802,6 @@ impl MwPool {
                     faults.fault_for(w, 0),
                     job_rx.clone(),
                     Arc::clone(&stats),
-                    Arc::clone(&queue_depth),
                     Arc::clone(&alive),
                     Arc::clone(&workers_lost),
                     Arc::clone(&notifier),
@@ -958,7 +945,6 @@ impl MwPool {
                 self.faults.fault_for(w, incarnation),
                 self.job_rx.clone(),
                 Arc::clone(&self.stats),
-                Arc::clone(&self.queue_depth),
                 Arc::clone(&alive),
                 Arc::clone(&self.workers_lost),
                 Arc::clone(&self.notifier),
@@ -989,22 +975,10 @@ impl MwPool {
         live
     }
 
-    /// Discard every queued entry. Each dropped job drops its result
-    /// sender, so its [`JobHandle`] reports [`WorkerLost`] promptly; a
-    /// round's last dropped share turns its unclaimed jobs Lost.
+    /// Discard every queued entry. A round whose last entry this drops
+    /// turns its unclaimed jobs Lost and wakes the master.
     fn drain_queue(&self) {
-        let mut drained = false;
-        while let Ok(entry) = self.job_rx.try_recv() {
-            if let Entry::Job(_) = entry {
-                self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            drop(entry);
-            drained = true;
-        }
-        if drained {
-            // Dropped jobs disconnected their handles; wake blocked masters.
-            self.notifier.bump();
-        }
+        while self.job_rx.try_recv().is_ok() {}
     }
 
     /// Snapshot the completion generation. Take this *before* scanning
@@ -1021,42 +995,20 @@ impl MwPool {
         self.notifier.wait(seen, timeout);
     }
 
-    /// Submit a job; returns immediately with a handle. Never panics: on a
-    /// failed or shut-down pool the handle reports [`WorkerLost`].
+    /// Submit a job; returns immediately with a handle. The closure ships
+    /// as a round of one and is called with the id of the worker that
+    /// claims it. Never panics: on a failed or shut-down pool the handle
+    /// reports [`WorkerLost`].
     pub fn submit<R, F>(&self, f: F) -> JobHandle<R>
     where
         R: Send + 'static,
         F: FnOnce(usize) -> R + Send + 'static,
     {
-        let (tx, rx) = bounded(1);
-        if self.is_failed() {
-            // tx drops here: the handle is born disconnected.
-            return JobHandle::new(rx);
+        let round = self.submit_round(vec![Box::new(f) as Thunk<R>], |f, worker| f(worker));
+        JobHandle {
+            round,
+            dispatched: Instant::now(),
         }
-        let job: Job = Box::new(move |worker, drop_result| {
-            let r = f(worker);
-            if !drop_result {
-                // A dropped receiver just means the master lost interest.
-                let _ = tx.send(r);
-            }
-        });
-        let core = self.lock_core();
-        let Some(job_tx) = core.job_tx.as_ref() else {
-            return JobHandle::new(rx); // shut down: handle is disconnected
-        };
-        // `queue_depth` is pool-global, so on a shared pool this high-water
-        // mark accounts for jobs queued by every run submitting to it, not
-        // just the caller's.
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(o) = self.obs.get() {
-            o.jobs_submitted.inc();
-            o.queue_depth_hwm.record(depth);
-        }
-        if job_tx.send(Entry::Job(job)).is_err() {
-            // Unreachable while the pool holds `job_rx`, but stay honest.
-            self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        JobHandle::new(rx)
     }
 
     /// Ship `inputs` as one round, each job running `work` on whichever
@@ -1065,14 +1017,18 @@ impl MwPool {
     /// completion notifier is bumped when the last job the master awaits
     /// lands or when a job is lost, not after every job. On a failed or
     /// shut-down pool every job is Lost at once.
-    pub(crate) fn submit_round<T, R>(&self, inputs: Vec<T>, work: fn(T) -> R) -> Arc<Round<T, R>>
+    pub(crate) fn submit_round<T, R>(
+        &self,
+        inputs: Vec<T>,
+        work: fn(T, usize) -> R,
+    ) -> Arc<Round<T, R>>
     where
         T: Send + 'static,
         R: Send + 'static,
     {
         let n = inputs.len();
-        // Enqueue under the core lock, as `submit` does, so a pool failing
-        // concurrently drains this round's entry rather than stranding it.
+        // Enqueue under the core lock, so a pool failing concurrently
+        // drains this round's entry rather than stranding it.
         let core = self.lock_core();
         let queue = core.job_tx.as_ref().filter(|_| !self.is_failed());
         let round = Arc::new(Round {
@@ -1099,7 +1055,8 @@ impl MwPool {
         }
         // Every job counts as queued until a worker claims it or the
         // round's last share drops, so a share dropped unsent loses the
-        // whole round.
+        // whole round. `queue_depth` is pool-global, so on a shared pool the
+        // high-water mark covers every submitter's jobs.
         let depth = self.queue_depth.fetch_add(n as u64, Ordering::Relaxed) + n as u64;
         let share = Share(Arc::clone(&round) as Arc<dyn RoundWork>);
         let Some(queue) = queue else {
@@ -1111,7 +1068,7 @@ impl MwPool {
         }
         // Unreachable while the pool holds `job_rx`; a refused share drops
         // and the round still resolves.
-        let _ = queue.send(Entry::Round(share));
+        let _ = queue.send(share);
         round
     }
 
@@ -1406,7 +1363,7 @@ mod tests {
     #[test]
     fn round_results_land_in_submission_order() {
         let pool = MwPool::new(3);
-        let round = pool.submit_round((0..20u64).collect(), |x| x * x);
+        let round = pool.submit_round((0..20u64).collect(), |x, _| x * x);
         let want: Vec<_> = (0..20u64).map(|x| Ok(x * x)).collect();
         assert_eq!(collect_round(&pool, &round), want);
         assert_eq!(pool.queue_depth(), 0);
@@ -1418,7 +1375,7 @@ mod tests {
         // round's only queue entry with it: jobs 2 and 3 can never be
         // claimed, so they turn Lost instead of waiting forever.
         let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 1), 0, None);
-        let round = pool.submit_round(vec![0, 1, 2, 3], |x: u32| x + 10);
+        let round = pool.submit_round(vec![0, 1, 2, 3], |x: u32, _| x + 10);
         let got = collect_round(&pool, &round);
         assert_eq!(
             got,
@@ -1434,7 +1391,7 @@ mod tests {
         // respawn budget: the failed pool drains the round's entry.
         let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 0), 0, None);
         let ahead = pool.submit(|_| ());
-        let round = pool.submit_round(vec![1, 2, 3], |x: u32| x);
+        let round = pool.submit_round(vec![1, 2, 3], |x: u32, _| x);
         assert_eq!(ahead.recv(), Err(WorkerLost));
         while pool.live_workers() > 0 {
             std::thread::sleep(Duration::from_millis(1));
@@ -1451,7 +1408,7 @@ mod tests {
         // exactly that job Lost, and the other worker's entry still serves
         // job 1.
         let pool = MwPool::with_options(2, FaultPlan::none(), 0, None);
-        let round = pool.submit_round(vec![0, 1], |x: u32| {
+        let round = pool.submit_round(vec![0, 1], |x: u32, _| {
             assert!(x != 0, "injected round job panic");
             x
         });

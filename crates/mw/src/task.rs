@@ -3,7 +3,7 @@
 //! re-implements (§3.1, Fig 3.1), including the vertex-level server→client
 //! fan-out (Fig 3.2).
 
-use crate::pool::{JobHandle, MwPool};
+use crate::pool::{JobHandle, MwPool, WorkerLost};
 
 /// Context available to a task while it executes on a worker.
 ///
@@ -126,26 +126,34 @@ impl MwDriver {
         })
     }
 
-    /// Dispatch a batch concurrently and wait for every result (in input
-    /// order). Any result lost to worker death fails the whole batch; use
+    /// Dispatch a batch as one round and wait for every result (in input
+    /// order). Each worker that claims a task brings in the next, and the
+    /// master wakes once the round is in or a task is lost. Any result lost
+    /// to worker death fails the whole batch; use
     /// [`dispatch_reliable`](Self::dispatch_reliable) for per-task retry.
-    pub fn dispatch_all<T: MwTask>(
-        &self,
-        tasks: Vec<T>,
-    ) -> Result<Vec<T::Output>, crate::pool::WorkerLost> {
-        let handles: Vec<_> = tasks.into_iter().map(|t| self.dispatch(t)).collect();
-        handles.into_iter().map(|h| h.recv()).collect()
+    pub fn dispatch_all<T: MwTask>(&self, tasks: Vec<T>) -> Result<Vec<T::Output>, WorkerLost> {
+        let n = tasks.len();
+        let inputs = tasks.into_iter().map(|t| (t, self.ns_clients)).collect();
+        let round = self
+            .pool
+            .submit_round(inputs, |(task, ns_clients), worker_id| {
+                task.execute(&WorkerCtx {
+                    worker_id,
+                    ns_clients,
+                })
+            });
+        (0..n).map(|pos| round.recv(pos)).collect()
     }
 
     /// Dispatch with master-side reassignment: if the executing worker dies
-    /// mid-task (see [`crate::pool::WorkerLost`]), the task is re-dispatched
+    /// mid-task (see [`WorkerLost`]), the task is re-dispatched
     /// up to `max_retries` times — the paper's restart-the-worker behaviour
     /// (§4.2), done at the master.
     pub fn dispatch_reliable<T: MwTask + Clone>(
         &self,
         task: T,
         max_retries: usize,
-    ) -> Result<T::Output, crate::pool::WorkerLost> {
+    ) -> Result<T::Output, WorkerLost> {
         let mut attempt = 0;
         loop {
             match self.dispatch(task.clone()).recv() {
@@ -252,6 +260,34 @@ mod tests {
             }
         }
         assert_eq!(ok, 50);
+    }
+
+    /// Reports its worker once the other task of its batch has started, so
+    /// a batch of two takes one job on each of two workers.
+    struct MeetTask(std::sync::Arc<std::sync::Barrier>);
+    impl MwTask for MeetTask {
+        type Output = usize;
+        fn execute(self, ctx: &WorkerCtx) -> usize {
+            self.0.wait();
+            ctx.worker_id
+        }
+    }
+
+    #[test]
+    fn a_dropped_result_fails_its_batch_and_the_next_batch_succeeds() {
+        // Worker 1 runs its first job but drops the result: lost on the
+        // wire, not a dead worker.
+        let driver = MwDriver {
+            pool: MwPool::supervised(2, crate::faults::FaultPlan::none().drop_result(1, 0)),
+            ns_clients: 1,
+        };
+        let meet = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let batch = || vec![MeetTask(meet.clone()), MeetTask(meet.clone())];
+        assert_eq!(driver.dispatch_all(batch()), Err(WorkerLost));
+        let mut workers = driver.dispatch_all(batch()).unwrap();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1]);
+        assert_eq!(driver.pool().workers_lost(), 0);
     }
 
     #[test]

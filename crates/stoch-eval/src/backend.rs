@@ -127,36 +127,6 @@ pub fn eval_round<F: StochasticObjective>(
     values
 }
 
-/// Extend every stream in `streams` by its paired entry of `dts` as one
-/// concurrent round on `backend`, charging the clock and `total` in stream
-/// order.
-///
-/// For optimizers that keep long-lived stream collections outside the
-/// engine (e.g. the Anderson structure search): the streams are drained
-/// into jobs, dispatched, and written back in place.
-pub fn extend_all_round<S: SampleStream>(
-    backend: &dyn SamplingBackend<S>,
-    streams: &mut Vec<S>,
-    dts: &[f64],
-    clock: &mut VirtualClock,
-    total: &mut f64,
-) {
-    assert_eq!(streams.len(), dts.len());
-    let jobs: Vec<StreamJob<S>> = streams
-        .drain(..)
-        .zip(dts)
-        .enumerate()
-        .map(|(slot, (stream, &dt))| StreamJob { slot, dt, stream })
-        .collect();
-    clock.begin_round();
-    for job in backend.extend_batch(jobs) {
-        clock.charge(job.dt);
-        *total += job.dt;
-        streams.push(job.stream);
-    }
-    clock.end_round();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,26 +199,5 @@ mod tests {
         assert_eq!(got, expected);
         assert_eq!(clock_b.elapsed(), clock_a.elapsed());
         assert_eq!(total_b, total_a);
-    }
-
-    #[test]
-    fn extend_all_round_preserves_order_and_accounts() {
-        let obj = Noisy::new(Sphere::new(2), ConstantNoise(1.0));
-        let mut streams = vec![obj.open(&[0.0, 0.0], 5), obj.open(&[1.0, 0.0], 6)];
-        let mut clock = VirtualClock::new(TimeMode::Parallel);
-        let mut total = 0.0;
-        extend_all_round(
-            &SerialBackend,
-            &mut streams,
-            &[1.0, 4.0],
-            &mut clock,
-            &mut total,
-        );
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].estimate().time, 1.0);
-        assert_eq!(streams[1].estimate().time, 4.0);
-        // Parallel round: max(1, 4); total sampling: sum.
-        assert_eq!(clock.elapsed(), 4.0);
-        assert_eq!(total, 5.0);
     }
 }
