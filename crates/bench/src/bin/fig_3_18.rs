@@ -1,22 +1,20 @@
-//! Fig 3.18 — MW scale-up: DET over the full MW hierarchy on noisy
-//! Rosenbrock in d ∈ {20, 50, 100} dimensions (Ns = 1):
+//! Fig 3.18 — MW scale-up: the library's DET over d+3 worker threads on
+//! noisy Rosenbrock in d ∈ {20, 50, 100} dimensions (Ns = 1):
 //!
 //! (a) best value vs wall time, (b) best value vs steps, (c) wall time per
 //! simplex step vs dimension. The paper's expectation: more dimensions →
 //! more steps and time to converge, with only a minor per-step overhead
-//! growth (its I/O; our dispatch + O(d²) geometry).
+//! growth (its I/O). Here a step is the library's: dispatch plus the
+//! engine's decision logic, whose Eq. 2.2 diameter is O(d³) per step.
 
 use repro_bench::scaleup::scaleup_rosenbrock_with_metrics;
-use repro_bench::{csv_row, harness_args};
+use repro_bench::{csv_row, harness_args, scaleup_steps};
 
 fn main() {
     let args = harness_args();
     let registry = args.registry();
     println!("# Fig 3.18: MW scale-up, DET on Rosenbrock, Ns=1");
-    let steps: u64 = std::env::var("REPRO_SCALEUP_STEPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(400);
+    let steps = scaleup_steps();
 
     csv_row(
         &["d", "step", "wall_secs", "best_value"]

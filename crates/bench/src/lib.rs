@@ -23,6 +23,8 @@
 //! * `REPRO_ITERS` — override the iteration cap per run.
 //! * `REPRO_SCALEUP_STEPS` — override the MW scale-up step count
 //!   (`fig_3_18`).
+//!
+//! A knob whose value does not parse panics, naming the knob and the value.
 
 #![warn(missing_docs)]
 
@@ -33,13 +35,36 @@ use obs::MetricsRegistry;
 use stoch_eval::objective::{Objective, StochasticObjective};
 use stoch_eval::stats::{Histogram, PairedComparison};
 
+/// A `REPRO_*` knob: its variable and the grammar its value must follow.
+type Knob = (&'static str, &'static str);
+
+const REPLICATES: Knob = ("REPRO_REPLICATES", "a non-negative integer");
+const TIME: Knob = ("REPRO_TIME", "a number");
+const ITERS: Knob = ("REPRO_ITERS", "a non-negative integer");
+const SCALEUP_STEPS: Knob = ("REPRO_SCALEUP_STEPS", "a non-negative integer");
+
+/// A knob's value: `default` when unset, otherwise the parsed value.
+/// Panics naming the knob, the value and the grammar when it does not
+/// parse, so a typo never silently runs the default.
+fn knob_value<T: std::str::FromStr>((name, grammar): Knob, value: Option<&str>, default: T) -> T {
+    match value {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("invalid {name}='{v}': expected {grammar}")),
+    }
+}
+
+/// [`knob_value`] of the knob's environment variable.
+fn env_knob<T: std::str::FromStr>(knob: Knob, default: T) -> T {
+    let value = std::env::var_os(knob.0).map(|v| v.to_string_lossy().into_owned());
+    knob_value(knob, value.as_deref(), default)
+}
+
 /// Number of replicate initial simplex states (paper default 100; override
 /// with `REPRO_REPLICATES`).
 pub fn replicates() -> usize {
-    std::env::var("REPRO_REPLICATES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100)
+    env_knob(REPLICATES, 100)
 }
 
 /// Virtual-walltime budget per optimization run (override `REPRO_TIME`).
@@ -50,18 +75,18 @@ pub fn time_budget() -> f64 {
 /// Virtual-walltime budget with a caller-chosen default, for exhibits whose
 /// paper setting differs from the standard 1e5 (override `REPRO_TIME`).
 pub fn time_budget_or(default: f64) -> f64 {
-    std::env::var("REPRO_TIME")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_knob(TIME, default)
 }
 
 /// Iteration cap with a caller-chosen default (override `REPRO_ITERS`).
 pub fn iteration_cap_or(default: u64) -> u64 {
-    std::env::var("REPRO_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    env_knob(ITERS, default)
+}
+
+/// Step cap for each of `fig_3_18`'s scale-up runs (default 400; override
+/// `REPRO_SCALEUP_STEPS`).
+pub fn scaleup_steps() -> u64 {
+    env_knob(SCALEUP_STEPS, 400)
 }
 
 /// The termination criteria used by the comparison experiments: Eq. 2.9
@@ -297,6 +322,39 @@ mod tests {
         // check the defaults parse.
         assert!(replicates() >= 1);
         assert!(time_budget() > 0.0);
+    }
+
+    #[test]
+    fn knobs_parse_their_values() {
+        assert_eq!(knob_value(REPLICATES, None, 100usize), 100);
+        assert_eq!(knob_value(REPLICATES, Some("7"), 100usize), 7);
+        assert_eq!(knob_value(TIME, Some("1e5"), 2.0), 1.0e5);
+        assert_eq!(knob_value(ITERS, Some("300"), 5u64), 300);
+        assert_eq!(knob_value(SCALEUP_STEPS, Some("40"), 400u64), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid REPRO_REPLICATES='many': expected a non-negative integer")]
+    fn malformed_replicates_panics_naming_the_knob_and_value() {
+        knob_value(REPLICATES, Some("many"), 100usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid REPRO_TIME='1e5x': expected a number")]
+    fn malformed_time_panics_naming_the_knob_and_value() {
+        knob_value(TIME, Some("1e5x"), 1.0e5);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid REPRO_ITERS='-3': expected a non-negative integer")]
+    fn malformed_iters_panics_naming_the_knob_and_value() {
+        knob_value(ITERS, Some("-3"), 100_000u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid REPRO_SCALEUP_STEPS='4OO': expected a non-negative integer")]
+    fn malformed_scaleup_steps_panics_naming_the_knob_and_value() {
+        knob_value(SCALEUP_STEPS, Some("4OO"), 400u64);
     }
 
     #[test]

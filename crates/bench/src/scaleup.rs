@@ -1,48 +1,23 @@
-//! The scale-up experiment (§3.4, Fig 3.18, Table 3.3): optimize the
-//! Rosenbrock function in `d = 20 / 50 / 100` dimensions with the full MW
-//! hierarchy — one dispatched task per vertex evaluation, `Ns` client
-//! threads per task — measuring real wall-clock time per simplex step.
+//! The scale-up experiment (§3.4, Fig 3.18, Table 3.3): the library's DET
+//! simplex on noisy Rosenbrock in `d = 20 / 50 / 100` dimensions, driven
+//! step by step through [`RunSession`] with every sampling round fanned
+//! over the paper's `d + 3` workers (one per vertex plus two for trial
+//! vertices), measuring real wall-clock time per simplex step.
+//!
+//! The paper's `Ns` clients per vertex each sample an independent system
+//! for time `t` at noise `σ0`, and their server reports the mean. That mean
+//! is `N(f, σ0²/(Ns·t))`, the distribution of one Gaussian stream with
+//! noise `σ0/√Ns`, whose oracle standard error is the same too. So a vertex
+//! here is one such stream, and `Ns` only scales the noise.
 
 use mw_framework::alloc::Allocation;
-use mw_framework::task::{MwDriver, MwTask, WorkerCtx};
-use noisy_simplex::geometry::{centroid_excluding, contract, expand, order, reflect};
+use mw_framework::ThreadedBackend;
+use noisy_simplex::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 use stoch_eval::functions::Rosenbrock;
-use stoch_eval::objective::{Objective, SampleStream};
-use stoch_eval::rng::child_seed;
-use stoch_eval::sampler::GaussianStream;
-
-/// Evaluate the noisy Rosenbrock at a point: the task shipped to a worker.
-///
-/// The worker's server side fans out to `Ns` clients; each client samples an
-/// independent system (an independent Gaussian stream at the same point) for
-/// duration `dt`, and the server averages the client results — the vertex
-/// estimate has variance `σ0²/(Ns·dt)`.
-#[derive(Debug, Clone)]
-pub struct VertexEvalTask {
-    /// The point in parameter space.
-    pub x: Vec<f64>,
-    /// Inherent per-system noise magnitude.
-    pub sigma0: f64,
-    /// Sampling duration per client.
-    pub dt: f64,
-    /// Task seed (clients derive child seeds).
-    pub seed: u64,
-}
-
-impl MwTask for VertexEvalTask {
-    type Output = f64;
-
-    fn execute(self, ctx: &WorkerCtx) -> f64 {
-        let f = Rosenbrock::new(self.x.len()).value(&self.x);
-        let shards = ctx.run_clients(|client| {
-            let mut s = GaussianStream::new(f, self.sigma0, child_seed(self.seed, client as u64));
-            s.extend(self.dt);
-            s.estimate().value
-        });
-        shards.iter().sum::<f64>() / shards.len() as f64
-    }
-}
+use stoch_eval::noise::ConstantNoise;
+use stoch_eval::sampler::Noisy;
 
 /// One per-step record of the scale-up run.
 #[derive(Debug, Clone, Copy)]
@@ -74,10 +49,20 @@ pub struct ScaleupResult {
     pub trace: Vec<ScaleupPoint>,
 }
 
-/// Run the DET simplex over the MW hierarchy on noisy Rosenbrock.
+/// Noisy Rosenbrock as one vertex of the deployment sees it: the mean of
+/// `ns` clients at noise `sigma0` each.
+fn objective(d: usize, ns: usize, sigma0: f64) -> Noisy<Rosenbrock, ConstantNoise> {
+    Noisy::gaussian(
+        Rosenbrock::new(d),
+        ConstantNoise(sigma0 / (ns as f64).sqrt()),
+    )
+}
+
+/// Run DET over the MW worker pool on noisy Rosenbrock.
 ///
-/// `max_steps` bounds the run; it stops early if the vertex spread drops
-/// below `tol`.
+/// Every evaluation is one sample of duration `eval_dt`. `max_steps`
+/// bounds the run; it stops early once the vertex values spread by at most
+/// `tol`.
 pub fn scaleup_rosenbrock(
     d: usize,
     ns: usize,
@@ -91,8 +76,8 @@ pub fn scaleup_rosenbrock(
 }
 
 /// [`scaleup_rosenbrock`] with optional run accounting: when `registry` is
-/// given, the worker pool records its job, busy/idle and queue-depth
-/// tallies into it (`mw.pool.*` metrics).
+/// given, the engine records its step tallies (`engine.*`) and the worker
+/// pool its job, busy/idle and queue-depth tallies (`mw.pool.*`) into it.
 #[allow(clippy::too_many_arguments)]
 pub fn scaleup_rosenbrock_with_metrics(
     d: usize,
@@ -104,109 +89,65 @@ pub fn scaleup_rosenbrock_with_metrics(
     seed: u64,
     registry: Option<&obs::MetricsRegistry>,
 ) -> ScaleupResult {
+    scaleup_run(d, ns, sigma0, eval_dt, max_steps, tol, seed, registry).0
+}
+
+/// The scale-up run and the engine's own result.
+#[allow(clippy::too_many_arguments)]
+fn scaleup_run(
+    d: usize,
+    ns: usize,
+    sigma0: f64,
+    eval_dt: f64,
+    max_steps: u64,
+    tol: f64,
+    seed: u64,
+    registry: Option<&obs::MetricsRegistry>,
+) -> (ScaleupResult, RunResult) {
     let alloc = Allocation::new(d, ns);
-    let driver = match registry {
-        Some(reg) => MwDriver::with_metrics(alloc.workers(), ns, reg),
-        None => MwDriver::new(alloc.workers(), ns),
+    let backend = match registry {
+        Some(reg) => ThreadedBackend::with_metrics(alloc.workers(), reg),
+        None => ThreadedBackend::new(alloc.workers()),
     };
-    let mut next_seed = seed;
-    let mut seed_gen = move || {
-        next_seed = next_seed.wrapping_add(1);
-        child_seed(0xC0FFEE, next_seed)
-    };
-
-    let mut points = noisy_simplex::init::random_uniform(d, -6.0, 3.0, seed);
-    let eval = |x: &[f64], s: u64| VertexEvalTask {
-        x: x.to_vec(),
-        sigma0,
-        dt: eval_dt,
-        seed: s,
-    };
-
-    // Initial concurrent evaluation of all d+1 vertices.
-    let tasks: Vec<VertexEvalTask> = points.iter().map(|x| eval(x, seed_gen())).collect();
-    let mut values = driver
-        .dispatch_all(tasks)
-        .expect("MW worker lost during scale-up bench");
-
-    let t0 = Instant::now();
-    let mut trace = Vec::new();
-    let mut steps = 0u64;
-
-    while steps < max_steps {
-        let spread = {
-            let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            max - min
-        };
-        if spread <= tol {
-            break;
-        }
-        let ord = order(&values);
-        let cent = centroid_excluding(&points, ord.max);
-        let refl_x = reflect(&cent, &points[ord.max], 1.0);
-        // The reflection and (prospective) expansion/contraction evaluations
-        // are dispatched to the two trial-vertex workers concurrently.
-        let refl_h = driver.dispatch(eval(&refl_x, seed_gen()));
-        let g_ref = refl_h.recv().expect("MW worker lost");
-
-        if g_ref < values[ord.min] {
-            let exp_x = expand(&cent, &refl_x, 2.0);
-            let g_exp = driver
-                .dispatch(eval(&exp_x, seed_gen()))
-                .recv()
-                .expect("MW worker lost");
-            if g_exp < g_ref {
-                points[ord.max] = exp_x;
-                values[ord.max] = g_exp;
-            } else {
-                points[ord.max] = refl_x;
-                values[ord.max] = g_ref;
-            }
-        } else if g_ref < values[ord.max] {
-            points[ord.max] = refl_x;
-            values[ord.max] = g_ref;
-        } else {
-            let con_x = contract(&cent, &points[ord.max], 0.5);
-            let g_con = driver
-                .dispatch(eval(&con_x, seed_gen()))
-                .recv()
-                .expect("MW worker lost");
-            if g_con < values[ord.max] {
-                points[ord.max] = con_x;
-                values[ord.max] = g_con;
-            } else {
-                // Collapse towards the best vertex and re-evaluate every
-                // moved vertex as one round.
-                let keep = points[ord.min].clone();
-                let mut tasks = Vec::new();
-                for (i, p) in points.iter_mut().enumerate() {
-                    if i == ord.min {
-                        continue;
-                    }
-                    for (pj, kj) in p.iter_mut().zip(&keep) {
-                        *pj = 0.5 * *pj + 0.5 * kj;
-                    }
-                    tasks.push(eval(p, seed_gen()));
-                }
-                let outs = driver.dispatch_all(tasks).expect("MW worker lost");
-                let moved = (0..values.len()).filter(|&i| i != ord.min);
-                for (i, v) in moved.zip(outs) {
-                    values[i] = v;
-                }
-            }
-        }
-
-        steps += 1;
-        trace.push(ScaleupPoint {
-            step: steps,
-            wall_secs: t0.elapsed().as_secs_f64(),
-            best_value: values.iter().cloned().fold(f64::INFINITY, f64::min),
-        });
+    let obj = objective(d, ns, sigma0);
+    let (cfg, term) = det_setup(eval_dt, max_steps, tol);
+    let init = init::random_uniform(d, -6.0, 3.0, seed);
+    // Construction samples every vertex once, before the clock starts.
+    let mut session = RunSession::with_backend(
+        &obj,
+        init,
+        cfg,
+        term,
+        TimeMode::Parallel,
+        seed,
+        Driver::Det,
+        Arc::new(backend),
+    );
+    if let Some(reg) = registry {
+        session.attach_metrics(EngineMetrics::register(reg));
     }
 
+    let t0 = Instant::now();
+    let mut walls = Vec::new();
+    while session.step() == SessionStatus::Running {
+        walls.push(t0.elapsed().as_secs_f64());
+    }
     let total = t0.elapsed().as_secs_f64();
-    ScaleupResult {
+    let run = session.finish();
+
+    let trace: Vec<ScaleupPoint> = run
+        .trace
+        .points()
+        .iter()
+        .zip(walls)
+        .map(|(p, wall_secs)| ScaleupPoint {
+            step: p.iteration,
+            wall_secs,
+            best_value: p.best_observed,
+        })
+        .collect();
+    let steps = run.iterations;
+    let result = ScaleupResult {
         d,
         ns,
         alloc,
@@ -218,12 +159,29 @@ pub fn scaleup_rosenbrock_with_metrics(
             f64::NAN
         },
         trace,
-    }
+    };
+    (result, run)
+}
+
+/// DET's configuration and termination for a scale-up run: one sample of
+/// `eval_dt` per evaluation, at most `max_steps` steps, stop at spread
+/// `tol`.
+fn det_setup(eval_dt: f64, max_steps: u64, tol: f64) -> (SimplexConfig, Termination) {
+    let mut cfg = Det::new().cfg;
+    cfg.sampling.initial_dt = eval_dt;
+    let term = Termination {
+        tolerance: Some(tol),
+        max_time: None,
+        max_iterations: Some(max_steps),
+    };
+    (cfg, term)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stoch_eval::objective::{SampleStream, StochasticObjective};
+    use stoch_eval::SerialBackend;
 
     #[test]
     fn scaleup_runs_and_descends_in_20d() {
@@ -248,11 +206,19 @@ mod tests {
             "only {jobs} jobs for {} steps",
             res.steps
         );
+        assert_eq!(
+            reg.counter("engine.steps.reflect").get()
+                + reg.counter("engine.steps.expand").get()
+                + reg.counter("engine.steps.contract").get()
+                + reg.counter("engine.steps.collapse").get(),
+            res.steps
+        );
     }
 
     #[test]
     fn scaleup_trace_wall_time_is_monotone() {
         let res = scaleup_rosenbrock(5, 2, 0.1, 1.0, 50, 0.0, 7);
+        assert_eq!(res.trace.len() as u64, res.steps);
         for w in res.trace.windows(2) {
             assert!(w[1].wall_secs >= w[0].wall_secs);
             assert_eq!(w[1].step, w[0].step + 1);
@@ -260,45 +226,49 @@ mod tests {
     }
 
     #[test]
-    fn vertex_eval_task_averages_clients() {
-        // With sigma0 = 0 every client returns exactly f(x).
-        let driver = MwDriver::new(2, 4);
-        let x = vec![0.0, 0.0, 0.0];
-        let f = Rosenbrock::new(3).value(&x);
-        let out = driver.dispatch_all(vec![VertexEvalTask {
-            x,
-            sigma0: 0.0,
-            dt: 1.0,
-            seed: 1,
-        }]);
-        assert_eq!(out.unwrap()[0], f);
+    fn sixteen_clients_quarter_the_noise() {
+        let x = vec![1.0, 1.0];
+        let mut one = objective(2, 1, 10.0).open(&x, 1);
+        let mut sixteen = objective(2, 16, 10.0).open(&x, 1);
+        one.extend(1.0);
+        sixteen.extend(1.0);
+        assert_eq!(one.estimate().std_err, 10.0);
+        assert_eq!(sixteen.estimate().std_err, 2.5);
     }
 
     #[test]
-    fn more_clients_reduce_noise() {
-        let driver = MwDriver::new(2, 1);
-        let driver16 = MwDriver::new(2, 16);
-        let x = vec![1.0, 1.0];
-        let f = Rosenbrock::new(2).value(&x); // 0
-        let noisy = |d: &MwDriver, n: usize| -> f64 {
-            let tasks: Vec<VertexEvalTask> = (0..n as u64)
-                .map(|s| VertexEvalTask {
-                    x: x.clone(),
-                    sigma0: 10.0,
-                    dt: 1.0,
-                    seed: s,
-                })
-                .collect();
-            let outs = d.dispatch_all(tasks).unwrap();
-            let mean_sq: f64 =
-                outs.iter().map(|v| (v - f) * (v - f)).sum::<f64>() / outs.len() as f64;
-            mean_sq.sqrt()
-        };
-        let rms1 = noisy(&driver, 64);
-        let rms16 = noisy(&driver16, 64);
-        assert!(
-            rms16 < rms1,
-            "16 clients should average noise down: {rms16} vs {rms1}"
-        );
+    fn scaleup_runs_the_librarys_det_bit_for_bit() {
+        // Fig 3.18 on its d+3 worker threads against DET driven through a
+        // session on the serial backend: the same run, bit for bit.
+        let (d, ns, sigma0, dt, steps, tol, seed) = (20, 1, 0.5, 1.0, 120, 1e-9, 62);
+        let (scaled, run) = scaleup_run(d, ns, sigma0, dt, steps, tol, seed, None);
+        let obj = objective(d, ns, sigma0);
+        let (cfg, term) = det_setup(dt, steps, tol);
+        let serial = RunSession::with_backend(
+            &obj,
+            init::random_uniform(d, -6.0, 3.0, seed),
+            cfg,
+            term,
+            TimeMode::Parallel,
+            seed,
+            Det::new().driver(),
+            Arc::new(SerialBackend),
+        )
+        .run_to_completion();
+        assert_eq!(scaled.steps, serial.iterations);
+        assert_eq!(run.best_point, serial.best_point);
+        assert_eq!(run.best_observed.to_bits(), serial.best_observed.to_bits());
+        let per_step: Vec<u64> = scaled
+            .trace
+            .iter()
+            .map(|p| p.best_value.to_bits())
+            .collect();
+        let want: Vec<u64> = serial
+            .trace
+            .points()
+            .iter()
+            .map(|p| p.best_observed.to_bits())
+            .collect();
+        assert_eq!(per_step, want);
     }
 }

@@ -834,12 +834,12 @@ pub(crate) mod tests {
         let parked: Vec<_> = (0..2)
             .map(|k| {
                 let (release, gate) = std::sync::mpsc::channel::<()>();
-                let started = started.clone();
-                let handle = pool.submit(move |w| {
+                let job = (started.clone(), gate, k);
+                let round = pool.submit_round(vec![job], |(started, gate, k), w| {
                     let _ = started.send((w, k));
                     let _ = gate.recv();
                 });
-                (release, handle)
+                (release, round)
             })
             .collect();
         let mut hold_on = [0; 2];
@@ -847,9 +847,9 @@ pub(crate) mod tests {
             let (w, k) = on.recv().expect("parking job reports its worker");
             hold_on[w] = k;
         }
-        let (release, handle) = &parked[hold_on[0]];
+        let (release, round) = &parked[hold_on[0]];
         let _ = release.send(());
-        while handle.try_recv() == Ok(None) {
+        while round.poll(0).is_none() {
             std::thread::sleep(Duration::from_micros(100));
         }
         // A worker's idle time grows when it receives a job, so the next

@@ -217,18 +217,6 @@ impl FaultPlan {
         self.faults.get(w).copied().unwrap_or_default()
     }
 
-    /// Convert the legacy per-worker `die_after` array (the old ad-hoc
-    /// injection hook) into a plan.
-    pub fn from_die_after(faults: &[Option<u64>]) -> Self {
-        let mut plan = FaultPlan::none();
-        for (w, f) in faults.iter().enumerate() {
-            if let Some(n) = f {
-                plan = plan.kill(w, *n);
-            }
-        }
-        plan
-    }
-
     /// Parse a comma-separated directive list (the `NSX_FAULTS` grammar —
     /// see module docs).
     pub fn parse(s: &str) -> Result<Self, String> {
@@ -386,10 +374,6 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(!FaultPlan::none().kill(0, 1).is_empty());
-        assert_eq!(
-            FaultPlan::from_die_after(&[None, Some(2)]),
-            FaultPlan::none().kill(1, 2)
-        );
     }
 
     #[test]

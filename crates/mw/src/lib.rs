@@ -1,20 +1,20 @@
 //! `mw-framework` — an in-process reproduction of the MW master–worker
-//! framework the paper builds on (Linderoth et al., Univ. of Wisconsin),
-//! including the extra hierarchy level the paper adds: each worker fronts a
-//! *server* that fans out to `Ns` *client* simulations (Figs 3.1–3.2, 4.3).
+//! framework the paper builds on (Linderoth et al., Univ. of Wisconsin).
+//! The extra hierarchy level the paper adds — each worker fronts a *server*
+//! that fans out to `Ns` *client* simulations (Figs 3.1–3.2, 4.3) — is
+//! counted in [`alloc`]; the scale-up exhibit models the clients' mean by
+//! its variance (see `DESIGN.md` — substitutions).
 //!
 //! The paper's deployment uses MPI ranks on a cluster; here workers are OS
 //! threads fed over `crossbeam` channels (see `DESIGN.md` — substitutions).
-//! The communication topology is preserved: tasks and workers never talk to
-//! each other, only to the master; clients only to their server.
+//! The communication topology is preserved: jobs and workers never talk to
+//! each other, only to the master.
 //!
 //! * [`alloc`] — the processor-allocation arithmetic of Table 3.3.
-//! * [`pool`] — the supervised worker pool (spawn/submit/call/stats,
+//! * [`pool`] — the supervised worker pool (rounds of jobs, stats,
 //!   liveness detection, respawn, graceful failure).
 //! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`],
 //!   `NSX_FAULTS`) for chaos-testing the supervision layer.
-//! * [`task`] — the structured `MwTask`/`MwDriver`/`WorkerCtx` layer with
-//!   the server→clients fan-out.
 //! * `dispatch` (crate-private) — the one master loop behind both
 //!   sampling backends: retry from master-side stream clones, per-attempt
 //!   deadlines, straggler hedging and degradation to inline execution,
@@ -51,15 +51,13 @@ mod dispatch;
 pub mod faults;
 pub mod pool;
 pub mod resilience;
-pub mod task;
 pub mod transport;
 
 pub use alloc::Allocation;
 pub use backend::ThreadedBackend;
 pub use faults::{Delay, FaultPlan, WorkerFault};
 pub use pool::{
-    default_respawn_budget, JobHandle, MwPool, RetryPolicy, ShutdownError, WorkerLost, WorkerStats,
+    default_respawn_budget, MwPool, RetryPolicy, ShutdownError, WorkerLost, WorkerStats,
 };
 pub use resilience::{BackoffPolicy, HeartbeatPolicy, HedgePolicy, P2Quantile};
-pub use task::{MwDriver, MwTask, WorkerCtx};
 pub use transport::{ProcessBackend, ProcessPool, Transport, TransportError};

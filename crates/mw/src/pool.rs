@@ -15,8 +15,7 @@
 //! awaits in the round lands, or when a job is lost — once per round, not
 //! once per job, which is how the paper's master waits on its d+3 workers.
 //! A sampling round (`MwPool::submit_round`, behind the threaded backend)
-//! carries one job per stream extension; a closure passed to
-//! [`MwPool::submit`] ships as a round of one, read by its [`JobHandle`].
+//! carries one job per stream extension.
 //!
 //! The pool is *supervised* (DESIGN.md §9): every worker slot carries a
 //! liveness flag armed by an RAII guard on the worker thread, so a worker
@@ -25,8 +24,8 @@
 //! fresh worker into the slot while a respawn budget remains. A lost job is
 //! never silent: a job held by a dying worker (or whose result was dropped)
 //! turns Lost in its slot, as do a round's unclaimed jobs once no queue
-//! entry for the round is left, and a [`JobHandle`] on it reports
-//! [`WorkerLost`]. Faults, job counters and losses are all per job.
+//! entry for the round is left, and the master reads it as [`WorkerLost`].
+//! Faults, job counters and losses are all per job.
 //! When the budget is exhausted and every worker is dead the pool marks
 //! itself failed, drains the queue (erroring every pending job), and all
 //! further submissions fail fast — callers degrade gracefully rather than
@@ -40,10 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// A closure from [`MwPool::submit`], called with the id of the worker that
-/// claims it.
-type Thunk<R> = Box<dyn FnOnce(usize) -> R + Send>;
 
 /// Per-worker execution counters.
 #[derive(Debug, Default)]
@@ -234,37 +229,6 @@ impl<T, R> Round<T, R> {
                 RoundJob::Done(r, finished) => Some(Ok((r, finished))),
                 _ => Some(Err(WorkerLost)),
             },
-        }
-    }
-
-    /// Block until job `pos` has an outcome, and take it; `None` once
-    /// `deadline` has passed without one.
-    pub(crate) fn recv_until(
-        &self,
-        pos: usize,
-        deadline: Instant,
-    ) -> Option<Result<R, WorkerLost>> {
-        loop {
-            // Snapshot before polling: an outcome landing in between bumps
-            // past the snapshot, and the wait returns at once.
-            let seen = self.notifier.generation();
-            if let Some(outcome) = self.poll(pos) {
-                return Some(outcome.map(|(r, _)| r));
-            }
-            self.notifier
-                .wait(seen, deadline.checked_duration_since(Instant::now())?);
-        }
-    }
-
-    /// Block until job `pos` has an outcome, and take it.
-    pub(crate) fn recv(&self, pos: usize) -> Result<R, WorkerLost> {
-        loop {
-            // The notifier is bumped once the round's last awaited job lands
-            // or a job is lost, so the hour only bounds one sleep.
-            let deadline = Instant::now() + Duration::from_secs(3600);
-            if let Some(outcome) = self.recv_until(pos, deadline) {
-                return outcome;
-            }
         }
     }
 
@@ -467,52 +431,6 @@ impl RetryPolicy {
             return Duration::ZERO;
         }
         self.backoff.saturating_mul(1u32 << (attempt - 2).min(16))
-    }
-}
-
-/// A handle on a submitted job's eventual result: the slot of the round of
-/// one the job shipped as.
-///
-/// Every receive path is non-panicking: a lost worker surfaces as
-/// [`WorkerLost`], never as a poisoned thread or an unwrap.
-pub struct JobHandle<R> {
-    round: Arc<Round<Thunk<R>, R>>,
-    /// When the job was submitted — the anchor for attempt deadlines.
-    dispatched: Instant,
-}
-
-impl<R> JobHandle<R> {
-    /// Time since the job was dispatched (submitted to the pool). This is
-    /// the attempt's age, independent of when the caller started waiting.
-    pub fn elapsed(&self) -> Duration {
-        self.dispatched.elapsed()
-    }
-
-    /// Block until the worker finishes; reports [`WorkerLost`] if the worker
-    /// died mid-job (or the job was dropped by a failed pool).
-    pub fn recv(self) -> Result<R, WorkerLost> {
-        self.round.recv(0)
-    }
-
-    /// Block until the job is `timeout` old, measured **from dispatch**, not
-    /// from this call: a handle that sat unobserved for a while gets only
-    /// the remainder of its budget, and a budget already spent returns
-    /// immediately. This is what makes per-attempt retry deadlines honest —
-    /// the clock starts when the job is issued, wherever the master happens
-    /// to be looping. `Ok(Some(r))` on completion, `Ok(None)` on timeout
-    /// (the job may still be running — poll again, typically after a
-    /// [`MwPool::supervise`] pass), `Err(WorkerLost)` if the result can no
-    /// longer arrive.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<R>, WorkerLost> {
-        self.round
-            .recv_until(0, self.dispatched + timeout)
-            .transpose()
-    }
-
-    /// Non-blocking poll with the same contract as
-    /// [`recv_timeout`](JobHandle::recv_timeout).
-    pub fn try_recv(&self) -> Result<Option<R>, WorkerLost> {
-        self.round.poll(0).map(|o| o.map(|(r, _)| r)).transpose()
     }
 }
 
@@ -765,15 +683,6 @@ impl MwPool {
         Self::with_options(n_workers, faults, default_respawn_budget(n_workers), None)
     }
 
-    /// Spawn workers with legacy fault injection and *no* respawn budget:
-    /// worker `w` dies (stops pulling work, dropping its in-flight job's
-    /// result) immediately after executing `faults[w]` jobs, and stays dead.
-    /// Workers beyond `faults.len()` are immortal. Used to test master-side
-    /// reassignment with exact loss counts.
-    pub fn with_fault_injection(n_workers: usize, faults: &[Option<u64>]) -> Self {
-        Self::with_options(n_workers, FaultPlan::from_die_after(faults), 0, None)
-    }
-
     /// Full-control constructor: worker count, fault plan, respawn budget,
     /// and optional metrics registry.
     pub fn with_options(
@@ -896,7 +805,7 @@ impl MwPool {
     /// One supervision pass: reap dead workers, respawn them into their
     /// slots while the respawn budget lasts, and — if every worker is dead
     /// with no budget left — mark the pool failed and drain the job queue so
-    /// no pending handle waits forever. Returns the number of live workers.
+    /// no pending job waits forever. Returns the number of live workers.
     ///
     /// Respawned workers are healthy regardless of the fault plan (a
     /// restarted node is a fresh node); they continue pulling from the same
@@ -982,7 +891,7 @@ impl MwPool {
     }
 
     /// Snapshot the completion generation. Take this *before* scanning
-    /// pending handles; pass it to [`wait_for_completion`]
+    /// pending jobs; pass it to [`wait_for_completion`]
     /// (MwPool::wait_for_completion) so a completion that lands mid-scan
     /// wakes the wait immediately instead of being lost.
     pub(crate) fn completion_generation(&self) -> u64 {
@@ -993,22 +902,6 @@ impl MwPool {
     /// after the `seen` snapshot, or `timeout` elapses.
     pub(crate) fn wait_for_completion(&self, seen: u64, timeout: Duration) {
         self.notifier.wait(seen, timeout);
-    }
-
-    /// Submit a job; returns immediately with a handle. The closure ships
-    /// as a round of one and is called with the id of the worker that
-    /// claims it. Never panics: on a failed or shut-down pool the handle
-    /// reports [`WorkerLost`].
-    pub fn submit<R, F>(&self, f: F) -> JobHandle<R>
-    where
-        R: Send + 'static,
-        F: FnOnce(usize) -> R + Send + 'static,
-    {
-        let round = self.submit_round(vec![Box::new(f) as Thunk<R>], |f, worker| f(worker));
-        JobHandle {
-            round,
-            dispatched: Instant::now(),
-        }
     }
 
     /// Ship `inputs` as one round, each job running `work` on whichever
@@ -1070,15 +963,6 @@ impl MwPool {
         // and the round still resolves.
         let _ = queue.send(share);
         round
-    }
-
-    /// Submit and block for the result (RPC style).
-    pub fn call<R, F>(&self, f: F) -> Result<R, WorkerLost>
-    where
-        R: Send + 'static,
-        F: FnOnce(usize) -> R + Send + 'static,
-    {
-        self.submit(f).recv()
     }
 
     /// Snapshot of per-worker job counts.
@@ -1152,27 +1036,62 @@ impl Drop for MwPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    #[test]
-    fn call_returns_result() {
-        let pool = MwPool::new(2);
-        let r = pool.call(|_w| 2 + 2).unwrap();
-        assert_eq!(r, 4);
+    /// Wait out every job of `round`: its result, or [`WorkerLost`].
+    fn collect_round<T, R>(pool: &MwPool, round: &Round<T, R>) -> Vec<Result<R, WorkerLost>> {
+        let mut out: Vec<_> = (0..round.slots.len()).map(|_| None).collect();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while out.iter().any(Option::is_none) {
+            assert!(Instant::now() < deadline, "round never resolved");
+            let seen = pool.completion_generation();
+            let mut news = false;
+            for (pos, o) in out.iter_mut().enumerate().filter(|(_, o)| o.is_none()) {
+                *o = round.poll(pos).map(|r| r.map(|(r, _)| r));
+                news |= o.is_some();
+            }
+            if !news {
+                pool.wait_for_completion(seen, Duration::from_millis(100));
+            }
+        }
+        out.into_iter().flatten().collect()
+    }
+
+    /// Ship `input` as a round of one and wait for its outcome.
+    fn run_one<T, R>(pool: &MwPool, input: T, work: fn(T, usize) -> R) -> Result<R, WorkerLost>
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+    {
+        let round = pool.submit_round(vec![input], work);
+        collect_round(pool, &round).remove(0)
+    }
+
+    /// The id of whichever worker runs the job.
+    fn worker_id((): (), w: usize) -> usize {
+        w
     }
 
     #[test]
-    fn submit_runs_concurrently() {
-        let pool = MwPool::new(4);
-        let handles: Vec<_> = (0..8).map(|i| pool.submit(move |_| i * i)).collect();
-        let results: Vec<i32> = handles.into_iter().map(|h| h.recv().unwrap()).collect();
-        assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+    fn a_round_of_one_returns_its_result() {
+        let pool = MwPool::new(2);
+        assert_eq!(run_one(&pool, 2, |x: i32, _| x + 2), Ok(4));
+    }
+
+    #[test]
+    fn round_results_land_in_submission_order() {
+        let pool = MwPool::new(3);
+        let round = pool.submit_round((0..20u64).collect(), |x, _| x * x);
+        let want: Vec<_> = (0..20u64).map(|x| Ok(x * x)).collect();
+        assert_eq!(collect_round(&pool, &round), want);
+        assert_eq!(pool.queue_depth(), 0);
     }
 
     #[test]
     fn stats_count_jobs() {
         let pool = MwPool::new(3);
         for _ in 0..30 {
-            pool.call(|_| ()).unwrap();
+            run_one(&pool, (), |(), _| ()).unwrap();
         }
         let counts = pool.job_counts();
         assert_eq!(counts.iter().sum::<u64>(), 30);
@@ -1181,14 +1100,15 @@ mod tests {
     #[test]
     fn workers_see_their_ids() {
         let pool = MwPool::new(4);
-        let ids: Vec<usize> = (0..32).map(|_| pool.call(|w| w).unwrap()).collect();
-        assert!(ids.iter().all(|&w| w < 4));
+        let round = pool.submit_round(vec![(); 32], worker_id);
+        let ids = collect_round(&pool, &round);
+        assert!(ids.iter().all(|w| w.is_ok_and(|w| w < 4)));
     }
 
     #[test]
     fn shutdown_joins_cleanly_and_is_idempotent() {
         let pool = MwPool::new(2);
-        pool.call(|_| ()).unwrap();
+        run_one(&pool, (), |(), _| ()).unwrap();
         assert_eq!(pool.shutdown(), Ok(2));
         assert_eq!(
             pool.shutdown(),
@@ -1196,18 +1116,15 @@ mod tests {
             "second shutdown returns the cached outcome"
         );
         // A post-shutdown submission fails fast instead of panicking.
-        assert_eq!(pool.submit(|_| 1).recv(), Err(WorkerLost));
+        assert_eq!(run_one(&pool, 1, |x: i32, _| x), Err(WorkerLost));
     }
 
     #[test]
     fn shutdown_reports_lost_workers() {
-        let pool = MwPool::with_fault_injection(2, &[Some(0), None]);
-        let _ = pool.submit(|w| w).recv(); // feeds the dying worker (maybe)
-                                           // Make sure worker 0 actually got a job and died.
+        let pool = MwPool::with_options(2, FaultPlan::none().kill(0, 0), 0, None);
+        // Feed jobs until worker 0 has taken one and died.
         while pool.workers_lost() == 0 {
-            match pool.submit(|w| w).recv() {
-                Ok(_) | Err(WorkerLost) => {}
-            }
+            let _ = run_one(&pool, (), worker_id);
         }
         let err = pool.shutdown().unwrap_err();
         assert_eq!(err.lost, 1);
@@ -1217,10 +1134,10 @@ mod tests {
     /// Kill the (sole) worker of `pool` by feeding it a panicking job, and
     /// wait until supervision can observe the death.
     fn kill_sole_worker(pool: &MwPool) {
-        let h = pool.submit::<(), _>(|_| panic!("injected worker death"));
-        assert_eq!(h.recv(), Err(WorkerLost));
+        let lost = run_one::<(), ()>(pool, (), |(), _| panic!("injected worker death"));
+        assert_eq!(lost, Err(WorkerLost));
         // The liveness flag flips when the worker's guard drops, marginally
-        // after the in-flight job's channel disconnects; wait it out.
+        // after the in-flight job turns Lost; wait it out.
         let deadline = Instant::now() + Duration::from_secs(5);
         while pool.live_workers() > 0 {
             assert!(Instant::now() < deadline, "death never became observable");
@@ -1250,32 +1167,32 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(pool.respawns(), 2);
-        assert_eq!(pool.call(|_| 7).unwrap(), 7);
+        assert_eq!(run_one(&pool, 7, |x: i32, _| x), Ok(7));
     }
 
-    /// Submit two jobs to a two-worker pool so that each worker takes
+    /// Ship two rounds of one to a two-worker pool so that each worker takes
     /// exactly one: the first job holds its worker until the second has
     /// resolved, so the second must go to the other worker. A plain
     /// sequence of jobs on the shared queue may never reach a worker that
     /// is slow to wake.
     fn one_job_per_worker(pool: &MwPool) -> [Result<usize, WorkerLost>; 2] {
-        let (open, gate) = std::sync::mpsc::channel::<()>();
-        let held = pool.submit(move |w| {
+        let (open, gate) = mpsc::channel::<()>();
+        let held = pool.submit_round(vec![gate], |gate, w| {
             let _ = gate.recv();
             w
         });
-        let other = pool.submit(|w| w).recv();
+        let other = run_one(pool, (), worker_id);
         let _ = open.send(());
-        [held.recv(), other]
+        [collect_round(pool, &held).remove(0), other]
     }
 
     #[test]
     fn injected_fault_surfaces_as_worker_lost() {
-        let pool = MwPool::with_fault_injection(2, &[Some(0), None]);
+        let pool = MwPool::with_options(2, FaultPlan::none().kill(0, 0), 0, None);
         let mut lost = 0;
         let mut ok = 0;
         let first_two = one_job_per_worker(&pool);
-        let rest = (2..20).map(|_| pool.submit(|w| w).recv());
+        let rest = (2..20).map(|_| run_one(&pool, (), worker_id));
         for r in first_two.into_iter().chain(rest) {
             match r {
                 Ok(_) => ok += 1,
@@ -1291,9 +1208,9 @@ mod tests {
 
     #[test]
     fn pool_survives_partial_worker_death() {
-        let pool = MwPool::with_fault_injection(3, &[Some(2), None, None]);
+        let pool = MwPool::with_options(3, FaultPlan::none().kill(0, 2), 0, None);
         let results: Vec<Result<usize, WorkerLost>> =
-            (0..40).map(|_| pool.submit(|w| w).recv()).collect();
+            (0..40).map(|_| run_one(&pool, (), worker_id)).collect();
         let ok = results.iter().filter(|r| r.is_ok()).count();
         assert!(ok >= 39, "{ok} of 40 succeeded");
     }
@@ -1313,7 +1230,7 @@ mod tests {
             pool.supervise();
         }
         for _ in 6..40 {
-            if pool.call(|w| w).is_err() {
+            if run_one(&pool, (), worker_id).is_err() {
                 lost += 1;
             }
             pool.supervise();
@@ -1333,40 +1250,12 @@ mod tests {
         // kill:0:after=0 would kill every incarnation if faults reapplied;
         // the plan must only poison incarnation 0.
         let pool = MwPool::supervised(1, FaultPlan::none().kill(0, 0));
-        assert_eq!(pool.submit(|w| w).recv(), Err(WorkerLost));
+        assert_eq!(run_one(&pool, (), worker_id), Err(WorkerLost));
         assert!(pool.supervise() >= 1);
         for _ in 0..10 {
-            assert!(pool.call(|w| w).is_ok());
+            assert!(run_one(&pool, (), worker_id).is_ok());
         }
         assert_eq!(pool.workers_lost(), 1);
-    }
-
-    /// Wait out every job of `round`: its result, or [`WorkerLost`].
-    fn collect_round<T, R>(pool: &MwPool, round: &Round<T, R>) -> Vec<Result<R, WorkerLost>> {
-        let mut out: Vec<_> = (0..round.slots.len()).map(|_| None).collect();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while out.iter().any(Option::is_none) {
-            assert!(Instant::now() < deadline, "round never resolved");
-            let seen = pool.completion_generation();
-            let mut news = false;
-            for (pos, o) in out.iter_mut().enumerate().filter(|(_, o)| o.is_none()) {
-                *o = round.poll(pos).map(|r| r.map(|(r, _)| r));
-                news |= o.is_some();
-            }
-            if !news {
-                pool.wait_for_completion(seen, Duration::from_millis(100));
-            }
-        }
-        out.into_iter().flatten().collect()
-    }
-
-    #[test]
-    fn round_results_land_in_submission_order() {
-        let pool = MwPool::new(3);
-        let round = pool.submit_round((0..20u64).collect(), |x, _| x * x);
-        let want: Vec<_> = (0..20u64).map(|x| Ok(x * x)).collect();
-        assert_eq!(collect_round(&pool, &round), want);
-        assert_eq!(pool.queue_depth(), 0);
     }
 
     #[test]
@@ -1390,9 +1279,9 @@ mod tests {
         // The sole worker dies on the single job ahead of the round, with no
         // respawn budget: the failed pool drains the round's entry.
         let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 0), 0, None);
-        let ahead = pool.submit(|_| ());
+        let ahead = pool.submit_round(vec![()], |(), _| ());
         let round = pool.submit_round(vec![1, 2, 3], |x: u32, _| x);
-        assert_eq!(ahead.recv(), Err(WorkerLost));
+        assert_eq!(collect_round(&pool, &ahead), [Err(WorkerLost)]);
         while pool.live_workers() > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1417,75 +1306,53 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_result_fails_its_round_and_the_next_round_succeeds() {
+        // Worker 1 runs its first job but drops the result: lost on the
+        // wire, not a dead worker. Each job of a round of two waits for the
+        // other to start, so the round takes one job on each worker.
+        let pool = MwPool::supervised(2, FaultPlan::none().drop_result(1, 0));
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        let round_of_two = || {
+            let round = pool.submit_round(vec![Arc::clone(&meet); 2], |meet, w| {
+                meet.wait();
+                w
+            });
+            collect_round(&pool, &round)
+        };
+        let first = round_of_two();
+        assert_eq!(first.iter().filter(|r| r.is_err()).count(), 1);
+        let mut workers: Vec<usize> = round_of_two().into_iter().map(Result::unwrap).collect();
+        workers.sort_unstable();
+        assert_eq!(workers, [0, 1]);
+        assert_eq!(pool.workers_lost(), 0);
+    }
+
+    #[test]
     fn exhausted_budget_fails_pool_and_drains_queue() {
         // Single worker, dies immediately, no budget: the pool must fail
-        // fast — every pending and future handle errors, nothing hangs.
+        // fast — every pending and future round errors, nothing hangs.
         let pool = MwPool::with_options(1, FaultPlan::none().kill(0, 0), 0, None);
-        let pending: Vec<_> = (0..5).map(|i| pool.submit(move |_| i)).collect();
+        let pending: Vec<_> = (0..5)
+            .map(|i| pool.submit_round(vec![i], |i: i32, _| i))
+            .collect();
         // Wait for the worker to take the first job and die.
         while pool.workers_lost() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(pool.supervise(), 0);
         assert!(pool.is_failed());
-        for h in pending {
-            assert_eq!(h.recv(), Err(WorkerLost));
+        for round in &pending {
+            assert_eq!(collect_round(&pool, round), [Err(WorkerLost)]);
         }
-        assert_eq!(pool.submit(|_| 0).recv(), Err(WorkerLost));
+        assert_eq!(run_one(&pool, 0, |i: i32, _| i), Err(WorkerLost));
         assert_eq!(pool.queue_depth(), 0);
-    }
-
-    #[test]
-    fn recv_timeout_polls_then_completes() {
-        let pool = MwPool::new(1);
-        let h = pool.submit(|_| {
-            std::thread::sleep(Duration::from_millis(40));
-            7
-        });
-        assert_eq!(h.recv_timeout(Duration::from_millis(5)), Ok(None));
-        // The deadline is dispatch-anchored, so a poll loop must grow its
-        // budget rather than repeat a spent one.
-        let mut got = None;
-        for i in 1..=100u64 {
-            if let Some(r) = h.recv_timeout(Duration::from_millis(10 * i)).unwrap() {
-                got = Some(r);
-                break;
-            }
-        }
-        assert_eq!(got, Some(7));
-    }
-
-    #[test]
-    fn recv_timeout_is_anchored_at_dispatch_not_call() {
-        let pool = MwPool::new(1);
-        let h = pool.submit(|_| {
-            std::thread::sleep(Duration::from_millis(300));
-            7
-        });
-        // Burn most of a 100ms budget before the first call: the call may
-        // only wait for the remainder, not a fresh 100ms.
-        std::thread::sleep(Duration::from_millis(70));
-        let t0 = Instant::now();
-        assert_eq!(h.recv_timeout(Duration::from_millis(100)), Ok(None));
-        assert!(
-            t0.elapsed() < Duration::from_millis(90),
-            "call re-anchored the deadline: waited {:?} of a budget with only ~30ms left",
-            t0.elapsed()
-        );
-        // A budget already spent at call time returns immediately.
-        let t0 = Instant::now();
-        assert_eq!(h.recv_timeout(Duration::from_millis(20)), Ok(None));
-        assert!(t0.elapsed() < Duration::from_millis(20));
-        assert!(h.elapsed() >= Duration::from_millis(70));
-        // A budget generous from dispatch still completes.
-        assert_eq!(h.recv_timeout(Duration::from_secs(10)), Ok(Some(7)));
     }
 
     #[test]
     fn delay_fault_slows_but_does_not_lose() {
         let pool = MwPool::supervised(1, FaultPlan::none().delay(0, 0, 15));
         let t0 = std::time::Instant::now();
-        assert_eq!(pool.call(|_| 3), Ok(3));
+        assert_eq!(run_one(&pool, 3, |x: i32, _| x), Ok(3));
         assert!(t0.elapsed() >= Duration::from_millis(15));
     }
 
@@ -1494,9 +1361,10 @@ mod tests {
         // Worker 0's second job (index 1) executes but its result is
         // discarded — lost on the wire, not a dead worker.
         let pool = MwPool::supervised(1, FaultPlan::none().drop_result(0, 1));
-        assert_eq!(pool.call(|_| 0), Ok(0));
-        assert_eq!(pool.call(|_| 1), Err(WorkerLost));
-        assert_eq!(pool.call(|_| 2), Ok(2));
+        let echo = |x: i32, _| x;
+        assert_eq!(run_one(&pool, 0, echo), Ok(0));
+        assert_eq!(run_one(&pool, 1, echo), Err(WorkerLost));
+        assert_eq!(run_one(&pool, 2, echo), Ok(2));
         assert_eq!(pool.workers_lost(), 0, "the worker itself stayed alive");
         assert_eq!(pool.live_workers(), 1);
     }
@@ -1505,9 +1373,11 @@ mod tests {
     fn metrics_mirror_pool_activity() {
         let reg = obs::MetricsRegistry::new();
         let pool = MwPool::with_metrics(3, &reg);
-        let handles: Vec<_> = (0..24).map(|i| pool.submit(move |_| i)).collect();
-        for h in handles {
-            h.recv().unwrap();
+        let rounds: Vec<_> = (0..24)
+            .map(|i| pool.submit_round(vec![i], |i: i32, _| i))
+            .collect();
+        for round in &rounds {
+            collect_round(&pool, round).remove(0).unwrap();
         }
         assert_eq!(reg.counter("mw.pool.jobs_submitted").get(), 24);
         let per_worker: u64 = (0..3)
@@ -1530,9 +1400,11 @@ mod tests {
             for _ in 0..2 {
                 let pool = Arc::clone(&pool);
                 s.spawn(move || {
-                    let handles: Vec<_> = (0..50).map(|i| pool.submit(move |_| i)).collect();
-                    for h in handles {
-                        h.recv().unwrap();
+                    let rounds: Vec<_> = (0..50)
+                        .map(|i| pool.submit_round(vec![i], |i: i32, _| i))
+                        .collect();
+                    for round in &rounds {
+                        collect_round(&pool, round).remove(0).unwrap();
                     }
                 });
             }
@@ -1551,7 +1423,7 @@ mod tests {
             Some(&reg),
         );
         while pool.workers_lost() == 0 {
-            let _ = pool.submit(|w| w).recv();
+            let _ = run_one(&pool, (), worker_id);
         }
         pool.supervise();
         assert_eq!(reg.counter("mw.pool.workers_lost").get(), 1);
@@ -1561,9 +1433,9 @@ mod tests {
     #[test]
     fn idle_time_accrues_while_waiting() {
         let pool = MwPool::new(1);
-        pool.call(|_| ()).unwrap();
+        run_one(&pool, (), |(), _| ()).unwrap();
         std::thread::sleep(std::time::Duration::from_millis(20));
-        pool.call(|_| ()).unwrap();
+        run_one(&pool, (), |(), _| ()).unwrap();
         let idle = pool.idle_seconds();
         assert!(
             idle[0] >= 0.015,
@@ -1576,8 +1448,13 @@ mod tests {
     #[test]
     fn heavy_fanout_completes() {
         let pool = MwPool::new(8);
-        let handles: Vec<_> = (0..1000u64).map(|i| pool.submit(move |_| i)).collect();
-        let sum: u64 = handles.into_iter().map(|h| h.recv().unwrap()).sum();
+        let rounds: Vec<_> = (0..1000u64)
+            .map(|i| pool.submit_round(vec![i], |i, _| i))
+            .collect();
+        let sum: u64 = rounds
+            .iter()
+            .map(|round| collect_round(&pool, round).remove(0).unwrap())
+            .sum();
         assert_eq!(sum, 999 * 1000 / 2);
     }
 

@@ -303,11 +303,6 @@ impl ProcessPool {
         self.lock().failed
     }
 
-    /// Dispatch one job payload to a worker; see [`submit_all`](Self::submit_all).
-    pub fn submit(&self, payload: Vec<u8>) -> Option<u64> {
-        self.submit_all(vec![payload])[0]
-    }
-
     /// Dispatch job payloads (round-robin over live links, reviving dead
     /// ones while budget lasts), one write per link for its whole share.
     /// Returns, per payload, the seq to collect on, or `None` when no worker
@@ -1004,7 +999,7 @@ mod tests {
     #[test]
     fn repeated_revivals_defer_with_backoff_but_dispatch_forces_through() {
         // Unit-level check of the deferral bookkeeping: a slot on its second
-        // respawn is deferred by revive() but submit()'s forced pass still
+        // respawn is deferred by revive() but submit_all()'s forced pass still
         // fields a worker instead of letting the backend degrade.
         let pool = ProcessPool::with_options(1, FaultPlan::none(), 8, None)
             .with_backoff(BackoffPolicy::parse("on:base_ms=60000:cap_ms=60000").unwrap());
@@ -1024,7 +1019,7 @@ mod tests {
         let local = stoch_eval::sampler::GaussianStream::new(1.0, 1.0, 3);
         local.save_state(&mut w).unwrap();
         let payload = wire::encode_job("gaussian.v1", 0, 1.0, &w.into_bytes());
-        assert!(pool.submit(payload).is_some());
+        assert!(pool.submit_all(vec![payload])[0].is_some());
         assert_eq!(pool.alive_workers(), 1);
     }
 }
