@@ -91,7 +91,7 @@ impl PoolObs {
 /// is lost (its worker died holding it or dropped its result, or no queue
 /// entry for its round is left), or a worker dies. Callers snapshot
 /// [`generation`](CompletionNotifier::generation) *before* scanning their
-/// handles, then [`wait`](CompletionNotifier::wait)
+/// round slots, then [`wait`](CompletionNotifier::wait)
 /// on that snapshot — a completion racing the scan bumps past the snapshot
 /// and the wait returns immediately, so no wakeup is ever lost.
 // Mutex<u64> + Condvar is the textbook generation counter for parking
@@ -393,8 +393,7 @@ impl Drop for Claim<'_> {
 
 /// How a master-side caller re-dispatches work lost to worker failure.
 ///
-/// Used by the dispatch loop behind both backends (and available to any
-/// pool client): an attempt that ends in [`WorkerLost`] — or exceeds
+/// Used by the dispatch loop behind both backends: an attempt that ends in [`WorkerLost`] — or exceeds
 /// `timeout` — is re-submitted, up to `max_attempts` total tries, sleeping
 /// an exponentially growing `backoff` between tries. Because retried jobs
 /// are re-created from master-side state (cloned streams carrying their
