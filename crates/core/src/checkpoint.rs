@@ -215,6 +215,31 @@ impl CheckpointConfig {
     }
 }
 
+/// One due checkpoint write: the run's snapshot and where [`save`] puts it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointWrite {
+    /// The checkpoint file ([`CheckpointConfig::path`]).
+    pub path: PathBuf,
+    /// Keep the previous generation at `<path>.1`.
+    pub retain: bool,
+    /// The engine's snapshot, unframed.
+    pub payload: Vec<u8>,
+}
+
+impl CheckpointWrite {
+    /// Write it durably with [`save`].
+    pub fn save(&self) -> Result<(), CheckpointError> {
+        save(&self.path, self.retain, &self.payload)
+    }
+}
+
+/// Where a session's due checkpoints go instead of an inline [`save`]
+/// (DESIGN.md §11). The engine still decides when a write is due and takes
+/// the snapshot on its own thread; `Ok` means the sink took the write over,
+/// and an `Err` becomes [`RunNote::CheckpointFailed`](crate::result::RunNote::CheckpointFailed)
+/// on the run.
+pub type CheckpointSink = Box<dyn FnMut(CheckpointWrite) -> Result<(), CheckpointError> + Send>;
+
 /// The retention path `<path>.1` for a checkpoint at `path`.
 fn retention_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();

@@ -71,7 +71,8 @@ pub struct EngineMetrics {
     pub tail_flag_rounds: Arc<Counter>,
     /// Estimator auto-switches performed by the breakdown policy.
     pub tail_switches: Arc<Counter>,
-    /// Checkpoint files written. Registry-only: deliberately excluded from
+    /// Checkpoint files written inline; a write handed to a checkpoint sink
+    /// is the sink's to count. Registry-only: deliberately excluded from
     /// [`RunMetrics`] so a resumed run's summary stays bit-identical to an
     /// uninterrupted golden run (which writes no checkpoints).
     pub ckpt_writes: Arc<Counter>,

@@ -24,7 +24,8 @@ pub enum RunNote {
     NonFiniteSample,
     /// A scheduled checkpoint write failed (I/O error). The run continued —
     /// checkpointing is best-effort — but crash recovery would resume from
-    /// an older snapshot. Reported once per run.
+    /// an older snapshot. Reported once per run; under a scheduler, at the
+    /// tick after its writer thread reports the failure (DESIGN.md §13).
     CheckpointFailed,
     /// The process transport (`NSX_TRANSPORT=process`) permanently lost its
     /// worker processes (respawn budget exhausted, or none could be

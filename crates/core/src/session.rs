@@ -21,7 +21,7 @@
 //! session, [`Method`](crate::algorithm::Method).
 
 use crate::anderson::AndersonNm;
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{CheckpointError, CheckpointSink};
 use crate::classic::{classic_iteration, gate_wait, internal_variance, max_noise_variance};
 use crate::config::{AndersonParams, MnParams, PcParams, SimplexConfig};
 use crate::engine::{now, Engine, Mailbox};
@@ -221,6 +221,14 @@ impl<'a, F: StochasticObjective> RunSession<'a, F> {
     /// Record engine tallies (and gate/site statistics) into `metrics`.
     pub fn attach_metrics(&mut self, metrics: EngineMetrics) {
         self.engine_mut().attach_metrics(metrics);
+    }
+
+    /// Hand the run's due checkpoint writes to `sink` instead of writing
+    /// them inline (DESIGN.md §11): the seam a scheduler puts its
+    /// write-behind writer behind. The cadence and the snapshots do not
+    /// change.
+    pub fn set_checkpoint_sink(&mut self, sink: CheckpointSink) {
+        self.engine_mut().set_checkpoint_sink(sink);
     }
 
     /// Record a [`RunNote`](crate::result::RunNote) against this run from an

@@ -35,6 +35,7 @@
 
 pub mod config;
 pub mod scheduler;
+mod writer;
 
 pub use config::SchedConfig;
 pub use scheduler::{RunSpec, Scheduler};
@@ -42,14 +43,17 @@ pub use scheduler::{RunSpec, Scheduler};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noisy_simplex::checkpoint::{self, CheckpointConfig, CheckpointError, CheckpointWrite};
     use noisy_simplex::config::{BackendChoice, ConfigError, SimplexConfig};
-    use noisy_simplex::result::RunResult;
+    use noisy_simplex::result::{RunNote, RunResult};
     use noisy_simplex::session::{Driver, RunSession};
     use noisy_simplex::termination::Termination;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{Arc, Mutex};
     use std::thread::ThreadId;
     use stoch_eval::backend::SerialBackend;
     use stoch_eval::clock::TimeMode;
+    use stoch_eval::codec::Reader;
     use stoch_eval::functions::{Rosenbrock, Sphere};
     use stoch_eval::noise::ConstantNoise;
     use stoch_eval::objective::{Estimate, SampleStream, StochasticObjective};
@@ -525,5 +529,160 @@ mod tests {
             "weight-4 run got {h} rounds vs weight-1's {l}; fair-share should favor it"
         );
         sched.run();
+    }
+
+    /// Every write the scheduler's writer was handed, in hand-off order.
+    static HANDED: Mutex<Vec<CheckpointWrite>> = Mutex::new(Vec::new());
+
+    fn record(write: &CheckpointWrite) -> Result<(), CheckpointError> {
+        HANDED.lock().unwrap().push(write.clone());
+        Ok(())
+    }
+
+    /// Without contention, a scheduled run hands its writer exactly the
+    /// writes its solo run makes: the same iterations, the same bytes.
+    #[test]
+    fn uncontended_runs_hand_the_writer_their_solo_write_sets() {
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(4.0));
+        let every = 3;
+        let ck = CheckpointConfig {
+            path: std::env::temp_dir().join(format!("nsx_write_set_{}", std::process::id())),
+            every,
+            retain: true,
+        };
+        let with_ckpt = |ck: &CheckpointConfig| SimplexConfig {
+            checkpoint: Some(ck.clone()),
+            ..serial_cfg()
+        };
+        let drivers = [
+            Driver::Mn(Default::default()),
+            Driver::Pc(Default::default()),
+            Driver::PcMn(Default::default(), Default::default()),
+        ];
+        let session = |cfg, id, driver| {
+            RunSession::new(
+                &obj,
+                init(id),
+                cfg,
+                term(25),
+                TimeMode::Parallel,
+                id,
+                driver,
+            )
+        };
+
+        let fleet = SchedConfig {
+            width: drivers.len(),
+            quantum: 2,
+        };
+        let mut sched = Scheduler::new(fleet, Arc::new(SerialBackend));
+        sched.write_with(record);
+        for (id, driver) in (0..).zip(drivers) {
+            let spec = RunSpec::new(
+                &obj,
+                init(id),
+                with_ckpt(&ck),
+                term(25),
+                TimeMode::Parallel,
+                id,
+                driver,
+            );
+            sched.admit(spec).unwrap();
+        }
+        sched.run();
+        let handed = HANDED.lock().unwrap().clone();
+
+        for (id, driver) in (0..).zip(drivers) {
+            let own = ck.for_run(id);
+            let scheduled: Vec<_> = handed.iter().filter(|w| w.path == own.path).collect();
+
+            // The solo run's writes, caught by a sink...
+            let caught = Arc::new(Mutex::new(Vec::new()));
+            let mut solo = session(with_ckpt(&own), id, driver);
+            let into = Arc::clone(&caught);
+            solo.set_checkpoint_sink(Box::new(move |w| {
+                into.lock().unwrap().push(w);
+                Ok(())
+            }));
+            let solo = solo.run_to_completion();
+            let caught = caught.lock().unwrap();
+            assert_eq!(scheduled, caught.iter().collect::<Vec<_>>(), "{driver:?}");
+
+            // ...are the writes the cadence makes due...
+            let due: Vec<u64> = (1..=solo.iterations / every).map(|g| g * every).collect();
+            let iterations: Vec<u64> = scheduled
+                .iter()
+                .map(|w| Reader::new(&w.payload).take_u64().unwrap())
+                .collect();
+            assert_eq!(iterations, due, "{driver:?}");
+
+            // ...and the last of them is what its inline run leaves on disk.
+            session(with_ckpt(&own), id, driver).run_to_completion();
+            let on_disk = checkpoint::load(&own.path).unwrap();
+            assert_eq!(Some(&on_disk), scheduled.last().map(|w| &w.payload));
+            for p in [own.path.clone(), own.fallback_path()] {
+                std::fs::remove_file(p).unwrap();
+            }
+        }
+    }
+
+    /// Fails the first write it is handed, and only that one.
+    fn fail_first(write: &CheckpointWrite) -> Result<(), CheckpointError> {
+        static FAILED: AtomicBool = AtomicBool::new(false);
+        if FAILED.swap(true, Ordering::SeqCst) {
+            return Ok(());
+        }
+        Err(CheckpointError::Io {
+            op: "write",
+            path: write.path.clone(),
+            source: std::io::Error::other("injected"),
+        })
+    }
+
+    /// A failure the writer reports while its run is suspended still ends
+    /// up on that run's result, and on no other.
+    #[test]
+    fn a_write_failing_mid_run_is_noted_on_its_run() {
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(4.0));
+        let cfg = SimplexConfig {
+            checkpoint: Some(CheckpointConfig {
+                path: std::env::temp_dir().join("nsx_never_written"),
+                every: 3,
+                retain: true,
+            }),
+            ..serial_cfg()
+        };
+        // Width 1 over two runs: every run is suspended after each tick.
+        let fleet = SchedConfig {
+            width: 1,
+            quantum: 2,
+        };
+        let mut sched = Scheduler::new(fleet, Arc::new(SerialBackend));
+        sched.write_with(fail_first);
+        for id in 0..2 {
+            let mn = Driver::Mn(Default::default());
+            let spec = RunSpec::new(
+                &obj,
+                init(id),
+                cfg.clone(),
+                term(25),
+                TimeMode::Parallel,
+                id,
+                mn,
+            );
+            sched.admit(spec).unwrap();
+        }
+        // Settle the writer after every tick, so each failure is reported
+        // before the next tick while its run is still unfinished.
+        while sched.tick() {
+            sched.flush();
+        }
+        let noted: Vec<bool> = (0..2)
+            .map(|id| {
+                let notes = &sched.result(id).unwrap().notes;
+                notes.contains(&RunNote::CheckpointFailed)
+            })
+            .collect();
+        assert_eq!(noted.iter().filter(|&&n| n).count(), 1, "{noted:?}");
     }
 }

@@ -33,8 +33,21 @@
 //! makes merged fleet batches equal solo batches; a polled step performs
 //! the same calls in the same order as a solo loop; and the checkpoint
 //! codec round-trips the full master-side state bit-exactly.
+//!
+//! # Durability
+//!
+//! A run's due checkpoint writes leave the tick: the scheduler installs a
+//! sink on every session it builds or resumes, and the sink queues the
+//! run's snapshot on the scheduler's one writer thread (see `writer.rs`),
+//! which writes it with `checkpoint::save` unchanged. So a file lags its
+//! run by at most the writes in flight. A write that fails is recorded as
+//! [`RunNote::CheckpointFailed`] on its run: on the run's session when the
+//! run is next activated, or, once the run is done, on its result at the
+//! next tick. [`Scheduler::run`], [`Scheduler::into_results`]
+//! and dropping the scheduler wait for every write handed over so far.
 
 use crate::config::SchedConfig;
+use crate::writer::Writer;
 use noisy_simplex::config::{ConfigError, SimplexConfig};
 use noisy_simplex::result::{RunNote, RunResult};
 use noisy_simplex::session::{Driver, Progress, RunSession, SessionStatus};
@@ -150,6 +163,9 @@ struct Entry<'a, F: StochasticObjective> {
     /// The run was quarantined at least once; its final result carries
     /// [`RunNote::Quarantined`].
     was_quarantined: bool,
+    /// A checkpoint write of this unfinished run failed; the note goes on
+    /// its session when the run is next activated.
+    ckpt_failed: bool,
 }
 
 /// `sched.fleet.*`: dispatches on the inner backend, how many of those
@@ -189,6 +205,8 @@ pub struct Scheduler<'a, F: StochasticObjective> {
     admission_latency: Arc<Counter>,
     queue_depth_hwm: Arc<Gauge>,
     fairness_spread: Arc<Gauge>,
+    /// Writes every run's due checkpoints off the tick.
+    writer: Arc<Writer>,
 }
 
 impl<'a, F: StochasticObjective> Scheduler<'a, F> {
@@ -214,6 +232,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             fairness_spread: service.gauge("sched.fairness.vruntime_spread_milli"),
             service,
             entries: Vec::new(),
+            writer: Writer::new(),
         }
     }
 
@@ -276,6 +295,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             admitted_at: Instant::now(),
             started: false,
             was_quarantined: false,
+            ckpt_failed: false,
         };
         self.entries.push(entry);
         self.admitted.inc();
@@ -295,13 +315,15 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
     /// vruntime, advance each by `quantum` steps, then preempt unfinished
     /// runs if contention remains. Returns `false` once every run is done.
     ///
-    /// The tick spawns no threads. It polls each run
+    /// The tick starts no threads but the checkpoint writer, once, on its
+    /// first due write. It polls each run
     /// ([`RunSession::poll`]) until the run posts a sampling round or its
     /// slice is over, runs every posted round as **one** `extend_batch` on
     /// the inner backend, hands each run its share back
     /// ([`RunSession::deliver`]), and repeats. Runs with a dedicated (chaos)
     /// backend sample on it inline.
     pub fn tick(&mut self) -> bool {
+        self.land_checkpoint_failures();
         let mut ready = self.ready_indices();
         if ready.is_empty() {
             return false;
@@ -332,7 +354,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                     .add(e.admitted_at.elapsed().as_nanos() as u64);
             }
             let backend = Arc::clone(e.dedicated.as_ref().unwrap_or(&self.inner));
-            let session = match std::mem::replace(&mut e.state, State::Pending) {
+            let (mut session, built) = match std::mem::replace(&mut e.state, State::Pending) {
                 State::Pending => {
                     let init = e
                         .init
@@ -344,7 +366,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                     if e.dedicated.is_none() {
                         self.fleet.record(1, init.len());
                     }
-                    Box::new(RunSession::with_backend(
+                    let session = RunSession::with_backend(
                         e.objective,
                         init,
                         e.cfg.clone(),
@@ -353,10 +375,11 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                         e.seed,
                         e.driver,
                         backend,
-                    ))
+                    );
+                    (Box::new(session), true)
                 }
-                State::Suspended(payload) => Box::new(
-                    RunSession::resume_with_backend(
+                State::Suspended(payload) => {
+                    let session = RunSession::resume_with_backend(
                         e.objective,
                         e.cfg.clone(),
                         &payload,
@@ -364,13 +387,20 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                         e.driver,
                         backend,
                     )
-                    .expect("in-memory checkpoint failed to resume"),
-                ),
-                State::Resident(s) => s,
+                    .expect("in-memory checkpoint failed to resume");
+                    (Box::new(session), true)
+                }
+                State::Resident(s) => (s, false),
                 State::Done(_) | State::Quarantined(_) => {
                     unreachable!("done and quarantined runs are filtered from the ready set")
                 }
             };
+            if built && e.cfg.checkpoint.is_some() {
+                session.set_checkpoint_sink(self.writer.sink(i as u64));
+            }
+            if std::mem::take(&mut e.ckpt_failed) {
+                session.record_note(RunNote::CheckpointFailed);
+            }
             slices.push((i, session, 0));
         }
 
@@ -503,11 +533,42 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             .collect()
     }
 
-    /// Tick until every schedulable run has finished. Quarantined runs stay
-    /// parked; call [`readmit`](Self::readmit) and `run` again to finish
-    /// them.
+    /// Tick until every schedulable run has finished, then wait for their
+    /// checkpoint writes: on return every due write is on disk, and every
+    /// failed one is noted on its run. Quarantined runs stay parked; call
+    /// [`readmit`](Self::readmit) and `run` again to finish them.
     pub fn run(&mut self) {
         while self.tick() {}
+        self.flush();
+    }
+
+    /// Wait for every checkpoint write handed to the writer so far, and
+    /// note the failed ones on their runs.
+    pub(crate) fn flush(&mut self) {
+        assert!(self.writer.flush(), "the checkpoint writer panicked");
+        self.land_checkpoint_failures();
+    }
+
+    /// Record each write the writer reports failed as
+    /// [`RunNote::CheckpointFailed`] on its run.
+    fn land_checkpoint_failures(&mut self) {
+        for id in self.writer.take_failures() {
+            let e = &mut self.entries[id as usize];
+            match &mut e.state {
+                State::Done(res) => {
+                    if !res.notes.contains(&RunNote::CheckpointFailed) {
+                        res.notes.push(RunNote::CheckpointFailed);
+                    }
+                }
+                _ => e.ckpt_failed = true,
+            }
+        }
+    }
+
+    /// Write checkpoints with `save` instead of `checkpoint::save`.
+    #[cfg(test)]
+    pub(crate) fn write_with(&mut self, save: crate::writer::Save) {
+        self.writer = Writer::with_save(save);
     }
 
     /// Ids of runs currently quarantined (DESIGN.md §16).
@@ -556,9 +617,11 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
     }
 
     /// Consume the scheduler, yielding `(id, result)` for every finished
-    /// run (unfinished runs are dropped).
-    pub fn into_results(self) -> Vec<(u64, RunResult)> {
-        self.entries
+    /// run (unfinished runs are dropped), once their checkpoint writes are
+    /// done.
+    pub fn into_results(mut self) -> Vec<(u64, RunResult)> {
+        self.flush();
+        std::mem::take(&mut self.entries)
             .into_iter()
             .enumerate()
             .filter_map(|(i, e)| match e.state {
@@ -566,5 +629,14 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                 _ => None,
             })
             .collect()
+    }
+}
+
+impl<F: StochasticObjective> Drop for Scheduler<'_, F> {
+    /// Wait for the checkpoint writes handed over so far.
+    fn drop(&mut self) {
+        // A panicked writer is reported by `run` and `into_results`; a
+        // panic here could abort an unwinding thread.
+        let _ = self.writer.flush();
     }
 }

@@ -5,6 +5,7 @@
 //! a subset of runs, and on both serial and threaded inner backends.
 
 use mw_framework::{FaultPlan, RetryPolicy, ThreadedBackend};
+use noisy_simplex::checkpoint;
 use noisy_simplex::prelude::*;
 use noisy_simplex::session::{Driver, RunSession};
 use nsx_sched::{RunSpec, SchedConfig, Scheduler};
@@ -311,4 +312,58 @@ fn concurrent_runs_get_isolated_checkpoint_files() {
         assert_identical(&format!("checkpointed run {i}"), &solo, got);
     }
     cleanup_run_files(&base, &ids);
+}
+
+/// Under a scheduler a run's due writes go to the scheduler's writer
+/// thread: a run whose checkpoint directory does not exist still ends with
+/// the failure noted, and once `run()` returns, a writable run's file holds
+/// its last due iteration.
+#[test]
+fn scheduled_writes_are_on_disk_or_noted_when_run_returns() {
+    let obj = Noisy::gaussian(Rosenbrock::new(2), ConstantNoise(4.0));
+    let every = 3;
+    let writable = tmp_ckpt("writable");
+    let missing = std::env::temp_dir()
+        .join(format!("nsx_sched_no_such_dir_{}", std::process::id()))
+        .join("run.bin");
+    let mut sched = Scheduler::new(
+        SchedConfig {
+            width: 2,
+            quantum: 2,
+        },
+        Arc::new(SerialBackend),
+    );
+    let mut admit = |path: &Path, seed: u64| {
+        let cfg = SimplexConfig {
+            checkpoint: Some(CheckpointConfig {
+                path: path.to_path_buf(),
+                every,
+                retain: true,
+            }),
+            ..serial_cfg()
+        };
+        let mn = Driver::Mn(Default::default());
+        let spec = RunSpec::new(
+            &obj,
+            init(seed),
+            cfg,
+            term(20),
+            TimeMode::Parallel,
+            seed,
+            mn,
+        );
+        sched.admit(spec).expect("admission failed")
+    };
+    let (ok, bad) = (admit(&writable, 0), admit(&missing, 1));
+    sched.run();
+
+    let failed = sched.result(bad).expect("missing result");
+    assert!(failed.notes.contains(&RunNote::CheckpointFailed));
+    let written = sched.result(ok).expect("missing result");
+    assert!(!written.notes.contains(&RunNote::CheckpointFailed));
+    let mut file = writable.as_os_str().to_os_string();
+    file.push(format!(".run{ok}"));
+    let info = checkpoint::inspect(Path::new(&file)).expect("the last write is on disk");
+    assert_eq!(info.iterations, written.iterations / every * every);
+    cleanup_run_files(&writable, &[ok]);
 }
