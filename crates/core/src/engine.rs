@@ -18,12 +18,11 @@
 
 use crate::checkpoint::{self, CheckpointError, CheckpointSink, CheckpointWrite};
 use crate::config::{BreakdownAction, NonFinitePolicy, SamplingPolicy, SimplexConfig};
-use crate::geometry::{self, ContractionLevel, Ordering};
+use crate::geometry::{self, ContractionLevel, Ordering, PairDistances};
 use crate::metrics::EngineMetrics;
 use crate::result::{RunMetrics, RunNote, RunResult};
 use crate::termination::{StopReason, Termination};
 use crate::trace::{StepKind, Trace, TracePoint};
-use std::cell::Cell;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
 use std::sync::{Arc, Mutex};
@@ -135,10 +134,11 @@ pub struct Engine<'a, F: StochasticObjective> {
     /// `Some` while a driver polls the run: rounds are posted here instead
     /// of sampling in place on `backend`.
     pub(crate) mailbox: Option<Mailbox<F::Stream>>,
-    /// The vertex-set diameter, computed on first use after the vertices
-    /// last moved; [`Engine::replace_vertex`] and [`Engine::collapse`]
-    /// empty it. Derived state, never persisted.
-    diameter: Cell<Option<f64>>,
+    /// The pairwise vertex distances and the diameter over them.
+    /// [`Engine::replace_vertex`] refreshes the moved vertex's pairs, and
+    /// [`Engine::collapse`] and a resume rebuild them all. Derived state,
+    /// never persisted.
+    distances: PairDistances,
     /// Round buffers reused by every round: the plan (slot, `dt`), and the
     /// jobs the streams travel in, which `SerialBackend` hands back.
     plan: Vec<(SlotId, f64)>,
@@ -201,6 +201,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             let stream = Some(objective.open(&x, seeds.next_seed()));
             slots.push(Slot { x, stream });
         }
+        let distances = PairDistances::new(&slots[..d + 1]);
         let mut eng = Engine {
             objective,
             cfg,
@@ -223,7 +224,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             forced_robust: false,
             restored_metrics: None,
             mailbox: None,
-            diameter: Cell::new(None),
+            distances,
             plan: Vec::new(),
             jobs: Vec::new(),
         };
@@ -333,15 +334,9 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         geometry::centroid_excluding(&self.slots[..self.n_vertices], exclude)
     }
 
-    /// Simplex diameter (Eq. 2.2), computed once per change of the vertex
-    /// set.
+    /// Simplex diameter (Eq. 2.2), kept up to date as vertices move.
     pub fn diameter(&self) -> f64 {
-        if let Some(d) = self.diameter.get() {
-            return d;
-        }
-        let d = geometry::diameter(&self.slots[..self.n_vertices]);
-        self.diameter.set(Some(d));
-        d
+        self.distances.diameter()
     }
 
     /// Open a *trial* slot at `x` (reflection/expansion/contraction point).
@@ -541,7 +536,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     pub fn replace_vertex(&mut self, v: usize, trial: SlotId) {
         assert!(v < self.n_vertices && trial >= self.n_vertices);
         self.slots.swap(v, trial);
-        self.diameter.set(None);
+        self.distances.refresh(&self.slots[..self.n_vertices], v);
     }
 
     /// Discard all trial slots (their sampling is abandoned, as when the
@@ -560,7 +555,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
     pub async fn collapse(&mut self, keep: usize) {
         let n = self.n_vertices;
         geometry::collapse_towards(&mut self.slots[..n], keep, self.cfg.coefficients.beta);
-        self.diameter.set(None);
+        self.distances.rebuild(&self.slots[..n]);
         let fresh = (0..n).filter(move |&i| i != keep);
         for i in fresh.clone() {
             let seed = self.seeds.next_seed();
@@ -896,6 +891,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
         };
         r.finish()?;
 
+        let distances = PairDistances::new(&slots[..n_vertices]);
         Ok(Engine {
             objective,
             cfg,
@@ -920,7 +916,7 @@ impl<'a, F: StochasticObjective> Engine<'a, F> {
             forced_robust,
             restored_metrics,
             mailbox: None,
-            diameter: Cell::new(None),
+            distances,
             plan: Vec::new(),
             jobs: Vec::new(),
         })

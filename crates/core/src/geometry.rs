@@ -143,6 +143,69 @@ pub fn diameter<P: AsRef<[f64]>>(points: &[P]) -> f64 {
     d
 }
 
+/// The pairwise distances of a vertex set and their maximum, kept up to
+/// date as single vertices move: a moved vertex costs O(n·d) for its row
+/// and O(n²) for the maximum, where [`diameter`] costs O(n²·d). Each pair
+/// is computed as [`diameter`] computes it, and the maximum is taken in
+/// the same order, so the two agree bit for bit.
+#[derive(Debug, Default)]
+pub(crate) struct PairDistances {
+    n: usize,
+    /// The upper triangle, row by row: `(0, 1), (0, 2), …, (1, 2), …`,
+    /// the order in which [`diameter`] visits the pairs.
+    pairs: Vec<f64>,
+    diameter: f64,
+}
+
+impl PairDistances {
+    /// The distances between every pair of `points`.
+    pub(crate) fn new<P: AsRef<[f64]>>(points: &[P]) -> Self {
+        let mut d = PairDistances::default();
+        d.rebuild(points);
+        d
+    }
+
+    /// Recompute every pair, after all the points moved. Reuses the
+    /// storage when the number of points is unchanged.
+    pub(crate) fn rebuild<P: AsRef<[f64]>>(&mut self, points: &[P]) {
+        let n = points.len();
+        self.n = n;
+        self.pairs.clear();
+        for i in 0..n {
+            for j in i + 1..n {
+                self.pairs
+                    .push(distance(points[i].as_ref(), points[j].as_ref()));
+            }
+        }
+        self.update_diameter();
+    }
+
+    /// Recompute the pairs of point `v`, the only one that moved.
+    pub(crate) fn refresh<P: AsRef<[f64]>>(&mut self, points: &[P], v: usize) {
+        assert_eq!(points.len(), self.n, "the point count changed");
+        for j in (0..self.n).filter(|&j| j != v) {
+            let (a, b) = (v.min(j), v.max(j));
+            let at = self.index(a, b);
+            self.pairs[at] = distance(points[a].as_ref(), points[b].as_ref());
+        }
+        self.update_diameter();
+    }
+
+    /// The largest pairwise distance: [`diameter`] of the points.
+    pub(crate) fn diameter(&self) -> f64 {
+        self.diameter
+    }
+
+    /// Where pair `(i, j)`, `i < j`, sits in `pairs`.
+    fn index(&self, i: usize, j: usize) -> usize {
+        i * (2 * self.n - i - 1) / 2 + (j - i - 1)
+    }
+
+    fn update_diameter(&mut self) {
+        self.diameter = self.pairs.iter().fold(0.0f64, |d, &pair| d.max(pair));
+    }
+}
+
 /// Contraction-level bookkeeping (§2.2): the simplex size is always
 /// `2^{-l}` times the initial size. Contraction increments `l`, expansion
 /// decrements it, reflection leaves it unchanged, collapse adds `d`.
@@ -316,6 +379,29 @@ mod tests {
         let cent = centroid_excluding(&pts, 2);
         let r = reflect(&cent, &pts[2], 1.0);
         assert!((distance(&cent, &r) - distance(&cent, &pts[2])).abs() < 1e-12);
+    }
+
+    proptest! {
+        #[test]
+        fn pair_distances_track_every_moved_point(
+            pts in collection::vec(collection::vec(-1e3f64..1e3, 3), 2..8),
+            moves in collection::vec((0usize..8, collection::vec(-1e3f64..1e3, 3)), 0..12),
+        ) {
+            let mut pts = pts;
+            let mut pairs = PairDistances::new(&pts);
+            prop_assert_eq!(pairs.diameter().to_bits(), diameter(&pts).to_bits());
+            for (v, to) in moves {
+                let v = v % pts.len();
+                pts[v] = to;
+                pairs.refresh(&pts, v);
+                prop_assert_eq!(pairs.diameter().to_bits(), diameter(&pts).to_bits());
+            }
+            for p in &mut pts {
+                p[0] *= 0.5;
+            }
+            pairs.rebuild(&pts);
+            prop_assert_eq!(pairs.diameter().to_bits(), diameter(&pts).to_bits());
+        }
     }
 
     #[test]

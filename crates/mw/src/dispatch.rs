@@ -19,6 +19,10 @@
 //!   time from its backup, the first answer wins, and a lost primary
 //!   promotes its hedge without spending an attempt;
 //! * degradation to inline execution when the link's pool has failed;
+//! * whether the master helps: on a link that allows it
+//!   ([`Link::master_can_help`]), a batch with no attempt deadline and no
+//!   hedging has the master run its round's unclaimed jobs itself instead
+//!   of sleeping on them (DESIGN.md §8);
 //! * the `mw.retry.*`, `mw.hedge.*` and `mw.backend.*` counters.
 //!
 //! Each link keeps its own wait primitive (the completion-generation
@@ -84,14 +88,25 @@ pub(crate) trait Link<S> {
 
     /// Ship one extension per job, a whole round at once: one
     /// [`Shipped`] per job, in order. The jobs stay with the caller as the
-    /// master-side backups.
-    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>>;
+    /// master-side backups. With `help`, the link marks the round as one
+    /// the master runs unclaimed jobs of itself (see [`Link::wait`]), and
+    /// brings in one worker fewer.
+    fn ship(&self, jobs: &[StreamJob<S>], help: bool) -> Vec<Shipped<Self::Ticket>>;
 
     /// Outcomes for any of `legs`, waiting up to `max_wait` for news.
-    /// Returns early once the link has some: any answer on a socket, a
-    /// round's last awaited answer or any loss on threads. May return empty.
+    /// Of a round shipped with `help`, the master first runs every job
+    /// that no worker has claimed yet, and then waits only on jobs that
+    /// workers hold. Returns early once the link has some news: any answer
+    /// on a socket, a round's last awaited answer or any loss on threads.
+    /// May return empty.
     fn wait(&self, legs: &[(LegId, &Self::Ticket)], max_wait: Duration)
         -> Vec<(LegId, Outcome<S>)>;
+
+    /// True when the master may run shipped jobs itself. A wire has no job
+    /// the master could claim, so by default it may not.
+    fn master_can_help(&self) -> bool {
+        false
+    }
 
     /// Stop waiting for a copy; a late answer is discarded.
     fn forget(&self, ticket: Self::Ticket);
@@ -102,7 +117,8 @@ pub(crate) trait Link<S> {
     /// True once the pool can never run a job again.
     fn is_failed(&self) -> bool;
 
-    /// Worker busy share in percent, where the pool measures it.
+    /// Worker busy share in percent, where the pool measures it. Jobs the
+    /// master ran count neither as busy nor as idle time.
     fn busy_pct(&self) -> Option<u64> {
         None
     }
@@ -179,6 +195,9 @@ struct Batch<S, T> {
     out: Vec<Option<StreamJob<S>>>,
     live: usize,
     legs_shipped: u32,
+    /// The batch's rounds are shipped for the master to help with: decided
+    /// once per batch, and kept for its retries.
+    help: bool,
 }
 
 impl<S: SampleStream, T> Batch<S, T> {
@@ -243,8 +262,8 @@ impl<S: SampleStream, T> Batch<S, T> {
 }
 
 /// Ship one copy of `job`, a retry or a hedge, as a round of one.
-fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>) -> Shipped<L::Ticket> {
-    let shipped = link.ship(std::slice::from_ref(job)).pop();
+fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>, help: bool) -> Shipped<L::Ticket> {
+    let shipped = link.ship(std::slice::from_ref(job), help).pop();
     shipped.unwrap_or(Shipped::Unavailable)
 }
 
@@ -380,18 +399,24 @@ impl Dispatcher {
         jobs: Vec<StreamJob<S>>,
     ) -> Vec<StreamJob<S>> {
         let n = jobs.len();
+        let limit = self.retry.timeout.or(L::DEFAULT_TIMEOUT);
+        // The master helps only where a busy master can miss nothing: no
+        // attempt deadline to enforce, no hedge to launch, and no fault
+        // plan aimed at particular workers for it to dodge. The link adds
+        // its own conditions.
+        let help = limit.is_none() && !self.hedge.enabled && link.master_can_help();
         let mut batch: Batch<S, L::Ticket> = Batch {
             pending: (0..n).map(|_| None).collect(),
             out: (0..n).map(|_| None).collect(),
             live: 0,
             legs_shipped: 0,
+            help,
         };
         // Ship everything before waiting on anything.
-        let shipped = link.ship(&jobs);
+        let shipped = link.ship(&jobs, help);
         for ((idx, job), shipped) in jobs.into_iter().enumerate().zip(shipped) {
             self.place(&mut batch, idx, job, 1, shipped);
         }
-        let limit = self.retry.timeout.or(L::DEFAULT_TIMEOUT);
         while batch.live > 0 {
             let wait = batch.next_wake(limit, self.hedge_after());
             let wait = self.warmup_poll().map_or(wait, |poll| wait.min(poll));
@@ -416,7 +441,7 @@ impl Dispatcher {
                         self.retry_or_inline(link, &mut batch, idx, job, attempt);
                     }
                 } else if p.hedge.is_none() && hedge_after.is_some_and(|after| age >= after) {
-                    if let Shipped::Ticket(t) = ship_one(link, &p.job) {
+                    if let Shipped::Ticket(t) = ship_one(link, &p.job, help) {
                         self.count(|o| &o.hedge_launched);
                         let leg = batch.leg(t);
                         if let Some(p) = &mut batch.pending[idx] {
@@ -498,7 +523,7 @@ impl Dispatcher {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            let shipped = ship_one(link, &job);
+            let shipped = ship_one(link, &job, batch.help);
             self.place(batch, idx, job, attempt, shipped);
             return;
         }
@@ -1015,7 +1040,7 @@ pub(crate) mod tests {
     /// Ship `jobs` as one round straight onto `pool`'s link and wait out
     /// every answer: `true` for each job done, `false` for each lost.
     fn ship_round(pool: &MwPool, jobs: &[StreamJob<Stream>]) -> Vec<bool> {
-        let tickets: Vec<_> = Link::ship(pool, jobs)
+        let tickets: Vec<_> = Link::ship(pool, jobs, false)
             .into_iter()
             .map(|shipped| match shipped {
                 Shipped::Ticket(t) => t,
@@ -1115,8 +1140,199 @@ pub(crate) mod tests {
                 b.extend_batch(jobs_at(&obj, 8));
             }
             assert_eq!(reg.counter("mw.pool.jobs_submitted").get(), 24);
-            assert_eq!(b.pool().job_counts().iter().sum::<u64>(), 24);
+            let workers: u64 = b.pool().job_counts().iter().sum();
+            assert_eq!(workers + b.pool().master_jobs(), 24);
+            assert_eq!(
+                reg.counter("mw.pool.master_jobs").get(),
+                b.pool().master_jobs()
+            );
             assert_eq!(b.pool().queue_depth(), 0);
+        }
+
+        /// A noisy Rosenbrock stream that runs `hook` before every
+        /// extension: to panic once, or to make a job slow.
+        #[derive(Clone)]
+        struct Hooked {
+            inner: Stream,
+            hook: fn(),
+        }
+
+        impl SampleStream for Hooked {
+            fn extend(&mut self, dt: f64) {
+                (self.hook)();
+                self.inner.extend(dt);
+            }
+
+            fn estimate(&self) -> stoch_eval::Estimate {
+                self.inner.estimate()
+            }
+        }
+
+        fn hooked(jobs: Vec<StreamJob<Stream>>, hook: fn()) -> Vec<StreamJob<Hooked>> {
+            jobs.into_iter()
+                .map(|j| StreamJob {
+                    slot: j.slot,
+                    dt: j.dt,
+                    stream: Hooked {
+                        inner: j.stream,
+                        hook,
+                    },
+                })
+                .collect()
+        }
+
+        fn unhooked(jobs: Vec<StreamJob<Hooked>>) -> Vec<StreamJob<Stream>> {
+            jobs.into_iter()
+                .map(|j| StreamJob {
+                    slot: j.slot,
+                    dt: j.dt,
+                    stream: j.stream.inner,
+                })
+                .collect()
+        }
+
+        /// A fault-free threaded backend with hedging off: on two workers
+        /// or more, the master helps with every batch.
+        fn helped(n_workers: usize, reg: &MetricsRegistry) -> ThreadedBackend {
+            ThreadedBackend::with_options(
+                n_workers,
+                FaultPlan::none(),
+                RetryPolicy::default(),
+                default_respawn_budget(n_workers),
+                Some(reg),
+            )
+            .with_hedge(HedgePolicy::default())
+        }
+
+        /// Run `batch` while every worker of `pool` holds a gated job, so
+        /// that no worker can take any of its jobs.
+        fn with_every_worker_parked<R>(pool: &MwPool, batch: impl FnOnce() -> R) -> R {
+            let (started, on) = std::sync::mpsc::channel();
+            let releases: Vec<_> = (0..pool.n_workers())
+                .map(|_| {
+                    let (release, gate) = std::sync::mpsc::channel::<()>();
+                    pool.submit_round(vec![(started.clone(), gate)], |(started, gate), _| {
+                        let _ = started.send(());
+                        let _ = gate.recv();
+                    });
+                    release
+                })
+                .collect();
+            for _ in 0..pool.n_workers() {
+                on.recv().expect("a parking job starts");
+            }
+            let out = batch();
+            for release in releases {
+                let _ = release.send(());
+            }
+            out
+        }
+
+        #[test]
+        fn a_master_whose_workers_are_all_busy_runs_the_whole_round() {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = helped(2, &reg);
+            let got = with_every_worker_parked(b.pool(), || b.extend_batch(jobs_at(&obj, 8)));
+            assert_batches_identical(&SerialBackend.extend_batch(jobs_at(&obj, 8)), &got);
+            assert_eq!(b.pool().master_jobs(), 8);
+            assert_eq!(reg.counter("mw.pool.master_jobs").get(), 8);
+            assert_eq!(reg.counter("mw.retry.attempts").get(), 0);
+        }
+
+        #[test]
+        fn faults_deadlines_hedging_and_a_lone_worker_keep_every_job_on_the_workers() {
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
+            // A fault that never fires still opts the pool out.
+            let faulted = ThreadedBackend::with_options(
+                2,
+                FaultPlan::none().kill(1, 1_000_000),
+                RetryPolicy::default(),
+                default_respawn_budget(2),
+                None,
+            )
+            .with_hedge(HedgePolicy::default());
+            let deadline = ThreadedBackend::with_options(
+                2,
+                FaultPlan::none(),
+                RetryPolicy {
+                    timeout: Some(Duration::from_secs(30)),
+                    ..RetryPolicy::default()
+                },
+                default_respawn_budget(2),
+                None,
+            )
+            .with_hedge(HedgePolicy::default());
+            let hedged = ThreadedBackend::with_options(
+                2,
+                FaultPlan::none(),
+                RetryPolicy::default(),
+                default_respawn_budget(2),
+                None,
+            )
+            .with_hedge(HedgePolicy::parse("on").unwrap());
+            // A helped round brings in one worker fewer, which one worker
+            // cannot do, so its master would make a second thread.
+            let lone = helped(1, &MetricsRegistry::new());
+            for b in [faulted, deadline, hedged, lone] {
+                for _ in 0..5 {
+                    assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
+                }
+                assert_eq!(b.pool().master_jobs(), 0);
+                assert_eq!(b.pool().job_counts().iter().sum::<u64>(), 40);
+            }
+        }
+
+        #[test]
+        fn a_job_that_panics_on_the_master_is_lost_alone_and_retried() {
+            static ARMED: AtomicBool = AtomicBool::new(true);
+            fn panic_once() {
+                if ARMED.swap(false, Ordering::SeqCst) {
+                    panic!("injected panic on the master");
+                }
+            }
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = helped(2, &reg);
+            let got = with_every_worker_parked(b.pool(), || {
+                b.extend_batch(hooked(jobs_at(&obj, 8), panic_once))
+            });
+            assert!(!ARMED.load(Ordering::SeqCst), "the hook never ran");
+            assert_batches_identical(
+                &SerialBackend.extend_batch(jobs_at(&obj, 8)),
+                &unhooked(got),
+            );
+            assert_eq!(reg.counter("mw.retry.attempts").get(), 1);
+            assert_eq!(b.pool().master_jobs(), 9);
+            assert_eq!(b.pool().workers_lost(), 0);
+            assert!(!SamplingBackend::<Hooked>::degraded(&b));
+        }
+
+        #[test]
+        fn a_helped_round_on_three_workers_is_joined_by_at_most_two() {
+            fn slow() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = helped(3, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 12));
+            for _ in 0..5 {
+                let before = b.pool().job_counts();
+                let got = b.extend_batch(hooked(jobs_at(&obj, 12), slow));
+                assert_batches_identical(&serial, &unhooked(got));
+                let joined = b
+                    .pool()
+                    .job_counts()
+                    .iter()
+                    .zip(&before)
+                    .filter(|(now, then)| now > then)
+                    .count();
+                assert!(joined <= 2, "{joined} workers joined a helped round");
+            }
+            let workers: u64 = b.pool().job_counts().iter().sum();
+            assert_eq!(workers + b.pool().master_jobs(), 60);
         }
     }
 
