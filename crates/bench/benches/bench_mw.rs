@@ -30,16 +30,19 @@ fn bench_mw(c: &mut Criterion) {
             stream: obj.open(&[0.1 * i as f64, -0.5], 7 + i as u64),
         })
         .collect();
-    // The default round, which the master helps with, against the same
-    // round kept on the workers: an attempt deadline (one that never
-    // fires) keeps the master out, so it sleeps until the workers finish.
-    let helped = two_workers(RetryPolicy::default());
+    // The default backend against the same round kept on the workers.
+    // After its first round ships and is measured, the default backend
+    // finds 14 such cheap jobs not worth shipping, so
+    // `threaded_round_14_jobs` times the inline path (DESIGN.md §8). An
+    // attempt deadline (one that never fires) keeps every round of the
+    // twin on the pool, so `_workers_only` times a pooled round.
+    let default = two_workers(RetryPolicy::default());
     let workers_only = two_workers(RetryPolicy {
         timeout: Some(Duration::from_secs(60)),
         ..RetryPolicy::default()
     });
     for (name, backend) in [
-        ("threaded_round_14_jobs", &helped),
+        ("threaded_round_14_jobs", &default),
         ("threaded_round_14_jobs_workers_only", &workers_only),
     ] {
         c.bench_function(name, |b| {

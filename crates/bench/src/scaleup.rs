@@ -199,8 +199,10 @@ mod tests {
         let res = scaleup_rosenbrock_with_metrics(5, 1, 0.1, 1.0, 20, 0.0, 3, Some(&reg));
         assert!(res.steps > 0);
         // d+1 initial vertex evaluations, then at least one dispatch
-        // (the reflection) per simplex step.
-        let jobs = reg.counter("mw.pool.jobs_submitted").get();
+        // (the reflection) per simplex step, each shipped to the pool or,
+        // when too cheap to ship, run inline.
+        let jobs = reg.counter("mw.pool.jobs_submitted").get()
+            + reg.counter("mw.backend.inline_jobs").get();
         assert!(
             jobs >= res.steps + 6,
             "only {jobs} jobs for {} steps",

@@ -17,19 +17,18 @@
 //! and degradation to inline execution once the pool has failed
 //! (DESIGN.md §9). This file supplies the thread side of that loop: a round
 //! ships to the [`MwPool`] as one shared round that up to one worker each
-//! joins, and the workers claim its jobs one at a time. The master helps
-//! when the loop lets it (a fault-free pool of two workers or more, no
-//! attempt deadline, hedging off): it claims and runs the round's jobs
-//! alongside the workers, and the round then brings in one worker fewer.
-//! After that, or when it may not help, the master sleeps on the pool's
-//! completion notifier until the last job it awaits lands or a job is
-//! lost. A retry or a hedge ships as a round of one.
+//! joins, the workers claim its jobs one at a time, and the master sleeps
+//! on the pool's completion notifier until the last job it awaits lands or
+//! a job is lost. A retry or a hedge ships as a round of one. A round too
+//! cheap to be worth shipping runs on the master instead: the loop decides
+//! from measured costs, where the pool injects no faults, no attempt
+//! deadline is set and hedging is off (DESIGN.md §8).
 //!
 //! Faults come from the `NSX_FAULTS` environment variable (see
 //! [`FaultPlan`]) for chaos testing, or programmatically via
 //! [`ThreadedBackend::with_options`].
 
-use crate::dispatch::{extend_job, Dispatcher, LegId, Link, Outcome, Shipped};
+use crate::dispatch::{extend_job, Dispatcher, LegId, Link, Outcome, PoolWork, Shipped};
 use crate::faults::FaultPlan;
 use crate::pool::{default_respawn_budget, MwPool, RetryPolicy, Round, WorkerLost};
 use crate::resilience::HedgePolicy;
@@ -40,20 +39,14 @@ use stoch_eval::backend::{SamplingBackend, StreamJob};
 use stoch_eval::objective::SampleStream;
 
 /// The thread link: a ticket is a shipped round and a job's position in
-/// it. The master runs the unclaimed jobs of each round shipped for help,
-/// and otherwise sleeps on the pool's completion-generation condvar.
+/// it, and the master sleeps on the pool's completion-generation condvar.
 impl<S: SampleStream + 'static> Link<S> for MwPool {
     type Ticket = (Arc<Round<StreamJob<S>, StreamJob<S>>>, usize);
 
     const DEFAULT_TIMEOUT: Option<Duration> = None;
 
-    fn ship(&self, jobs: &[StreamJob<S>], help: bool) -> Vec<Shipped<Self::Ticket>> {
-        let work = |job, _worker| extend_job(job);
-        let round = if help {
-            self.submit_helped_round(jobs.to_vec(), work)
-        } else {
-            self.submit_round(jobs.to_vec(), work)
-        };
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
+        let round = self.submit_round(jobs.to_vec(), |job, _worker| extend_job(job));
         (0..jobs.len())
             .map(|pos| Shipped::Ticket((Arc::clone(&round), pos)))
             .collect()
@@ -64,15 +57,6 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
         legs: &[(LegId, &Self::Ticket)],
         max_wait: Duration,
     ) -> Vec<(LegId, Outcome<S>)> {
-        // Help with each round shipped for it; a round's legs sit side by
-        // side, so each is visited once.
-        let mut last: Option<&Arc<Round<_, _>>> = None;
-        for (_, (round, _)) in legs {
-            if !last.is_some_and(|last| Arc::ptr_eq(last, round)) {
-                self.help(round);
-                last = Some(round);
-            }
-        }
         // Snapshot the completion generation BEFORE scanning: a result that
         // lands mid-scan bumps past this snapshot, so the wait returns
         // immediately instead of sleeping through the wakeup.
@@ -108,11 +92,20 @@ impl<S: SampleStream + 'static> Link<S> for MwPool {
         MwPool::is_failed(self)
     }
 
-    fn master_can_help(&self) -> bool {
-        MwPool::master_can_help(self)
+    /// Only a pool without a fault plan: a plan aims at particular workers
+    /// and counts their jobs, and a round run inline would escape it.
+    fn pool_work(&self) -> Option<PoolWork> {
+        self.fault_free().then(|| {
+            let (jobs, busy_nanos) = self.work_totals();
+            PoolWork {
+                workers: self.n_workers(),
+                jobs,
+                busy_nanos,
+            }
+        })
     }
 
-    /// Workers only: jobs the master ran are not busy time.
+    /// Workers only: rounds run inline are not busy time.
     fn busy_pct(&self) -> Option<u64> {
         let busy: f64 = self.busy_seconds().iter().sum();
         let idle: f64 = self.idle_seconds().iter().sum();

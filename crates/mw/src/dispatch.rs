@@ -19,10 +19,11 @@
 //!   time from its backup, the first answer wins, and a lost primary
 //!   promotes its hedge without spending an attempt;
 //! * degradation to inline execution when the link's pool has failed;
-//! * whether the master helps: on a link that allows it
-//!   ([`Link::master_can_help`]), a batch with no attempt deadline and no
-//!   hedging has the master run its round's unclaimed jobs itself instead
-//!   of sleeping on them (DESIGN.md §8);
+//! * where a round runs: on a link that allows it ([`Link::pool_work`]), a
+//!   batch with no attempt deadline and no hedging runs on the calling
+//!   thread instead of shipping, when a cost model built from measured job
+//!   and round times says shipping would cost more than it saves
+//!   ([`RoundCost`], DESIGN.md §8);
 //! * the `mw.retry.*`, `mw.hedge.*` and `mw.backend.*` counters.
 //!
 //! Each link keeps its own wait primitive (the completion-generation
@@ -32,8 +33,9 @@
 use crate::pool::RetryPolicy;
 use crate::resilience::{HedgePolicy, P2Quantile};
 use obs::{Counter, Gauge, MetricsRegistry};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 use stoch_eval::backend::StreamJob;
 use stoch_eval::objective::SampleStream;
@@ -75,6 +77,18 @@ pub(crate) struct LegId {
     leg: u32,
 }
 
+/// What a link's workers have done so far. Read before and after a pooled
+/// round, it tells the cost model what the round's jobs took.
+#[derive(Clone, Copy)]
+pub(crate) struct PoolWork {
+    /// The pool's worker count, p.
+    pub(crate) workers: usize,
+    /// Jobs run, summed over the workers.
+    pub(crate) jobs: u64,
+    /// Busy nanoseconds, summed over the workers.
+    pub(crate) busy_nanos: u64,
+}
+
 /// A pool the dispatch loop can ship extension jobs to.
 pub(crate) trait Link<S> {
     /// A handle on one shipped copy of a job.
@@ -88,24 +102,21 @@ pub(crate) trait Link<S> {
 
     /// Ship one extension per job, a whole round at once: one
     /// [`Shipped`] per job, in order. The jobs stay with the caller as the
-    /// master-side backups. With `help`, the link marks the round as one
-    /// the master runs unclaimed jobs of itself (see [`Link::wait`]), and
-    /// brings in one worker fewer.
-    fn ship(&self, jobs: &[StreamJob<S>], help: bool) -> Vec<Shipped<Self::Ticket>>;
+    /// master-side backups.
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>>;
 
     /// Outcomes for any of `legs`, waiting up to `max_wait` for news.
-    /// Of a round shipped with `help`, the master first runs every job
-    /// that no worker has claimed yet, and then waits only on jobs that
-    /// workers hold. Returns early once the link has some news: any answer
-    /// on a socket, a round's last awaited answer or any loss on threads.
-    /// May return empty.
+    /// Returns early once the link has some news: any answer on a socket,
+    /// a round's last awaited answer or any loss on threads. May return
+    /// empty.
     fn wait(&self, legs: &[(LegId, &Self::Ticket)], max_wait: Duration)
         -> Vec<(LegId, Outcome<S>)>;
 
-    /// True when the master may run shipped jobs itself. A wire has no job
-    /// the master could claim, so by default it may not.
-    fn master_can_help(&self) -> bool {
-        false
+    /// The workers' work so far, on a link whose rounds the master may run
+    /// inline instead of shipping them; `None` where it may not. By default
+    /// it may not: a wire's rounds are there to carry and measure the wire.
+    fn pool_work(&self) -> Option<PoolWork> {
+        None
     }
 
     /// Stop waiting for a copy; a late answer is discarded.
@@ -117,19 +128,22 @@ pub(crate) trait Link<S> {
     /// True once the pool can never run a job again.
     fn is_failed(&self) -> bool;
 
-    /// Worker busy share in percent, where the pool measures it. Jobs the
-    /// master ran count neither as busy nor as idle time.
+    /// Worker busy share in percent, where the pool measures it. Rounds
+    /// run inline count neither as busy nor as idle time.
     fn busy_pct(&self) -> Option<u64> {
         None
     }
 }
 
 /// Registry handles recorded by the loop. Metric names:
-/// `mw.backend.{batches,jobs,fanout_nanos,batch_size_hwm,busy_pct,degraded}`,
+/// `mw.backend.{batches,jobs,inline_batches,inline_jobs,fanout_nanos}`,
+/// `mw.backend.{batch_size_hwm,busy_pct,degraded}`,
 /// `mw.retry.{attempts,timeouts}` and `mw.hedge.{launched,wins}`.
 struct DispatchObs {
     batches: Arc<Counter>,
     jobs: Arc<Counter>,
+    inline_batches: Arc<Counter>,
+    inline_jobs: Arc<Counter>,
     fanout_nanos: Arc<Counter>,
     batch_size_hwm: Arc<Gauge>,
     busy_pct: Arc<Gauge>,
@@ -145,6 +159,8 @@ impl DispatchObs {
         DispatchObs {
             batches: registry.counter("mw.backend.batches"),
             jobs: registry.counter("mw.backend.jobs"),
+            inline_batches: registry.counter("mw.backend.inline_batches"),
+            inline_jobs: registry.counter("mw.backend.inline_jobs"),
             fanout_nanos: registry.counter("mw.backend.fanout_nanos"),
             batch_size_hwm: registry.gauge("mw.backend.batch_size_hwm"),
             busy_pct: registry.gauge("mw.backend.busy_pct"),
@@ -195,9 +211,6 @@ struct Batch<S, T> {
     out: Vec<Option<StreamJob<S>>>,
     live: usize,
     legs_shipped: u32,
-    /// The batch's rounds are shipped for the master to help with: decided
-    /// once per batch, and kept for its retries.
-    help: bool,
 }
 
 impl<S: SampleStream, T> Batch<S, T> {
@@ -262,8 +275,8 @@ impl<S: SampleStream, T> Batch<S, T> {
 }
 
 /// Ship one copy of `job`, a retry or a hedge, as a round of one.
-fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>, help: bool) -> Shipped<L::Ticket> {
-    let shipped = link.ship(std::slice::from_ref(job), help).pop();
+fn ship_one<S, L: Link<S>>(link: &L, job: &StreamJob<S>) -> Shipped<L::Ticket> {
+    let shipped = link.ship(std::slice::from_ref(job)).pop();
     shipped.unwrap_or(Shipped::Unavailable)
 }
 
@@ -274,6 +287,63 @@ pub(crate) fn extend_job<S: SampleStream>(mut job: StreamJob<S>) -> StreamJob<S>
     job
 }
 
+/// Weight of each new reading in the cost model's running means. A round
+/// whose jobs turn expensive moves the mean job time a quarter of the way,
+/// enough to send the next round back to the pool.
+const COST_WEIGHT: f64 = 0.25;
+
+/// The cost model that picks, once per batch, whether a round runs inline
+/// on the master or ships to the pool (DESIGN.md §8). It holds only
+/// measurements, in seconds.
+#[derive(Default)]
+struct RoundCost {
+    /// ĉ, the running mean time of one job: timed on the master for inline
+    /// rounds, and read from the workers' busy time for pooled ones.
+    job: Option<f64>,
+    /// Ŵ, the running mean fixed cost of a pooled round: its wall time
+    /// minus ⌈n/p⌉·ĉ, the share of its work on one of p workers.
+    round: Option<f64>,
+}
+
+impl RoundCost {
+    /// True when a round of `n` jobs over `workers` workers should run
+    /// inline: shipping saves at most the work it moves off the master,
+    /// (n − ⌈n/p⌉)·ĉ, and costs Ŵ. False until both are measured, so the
+    /// first round ships.
+    fn inline(&self, n: usize, workers: usize) -> bool {
+        match (self.job, self.round) {
+            (Some(job), Some(round)) => (n - n.div_ceil(workers)) as f64 * job < round,
+            _ => false,
+        }
+    }
+
+    /// An inline round of `n` jobs took `wall` on the master.
+    fn observe_inline(&mut self, n: usize, wall: Duration) {
+        if n > 0 {
+            running_mean(&mut self.job, wall.as_secs_f64() / n as f64);
+        }
+    }
+
+    /// A pooled round of `n` jobs took `wall`, while the workers' work went
+    /// from `before` to `after`.
+    fn observe_pooled(&mut self, n: usize, wall: Duration, before: PoolWork, after: PoolWork) {
+        let jobs = after.jobs.saturating_sub(before.jobs);
+        if jobs > 0 {
+            let busy = after.busy_nanos.saturating_sub(before.busy_nanos);
+            running_mean(&mut self.job, busy as f64 * 1e-9 / jobs as f64);
+        }
+        if let Some(job) = self.job {
+            let share = n.div_ceil(after.workers) as f64 * job;
+            running_mean(&mut self.round, (wall.as_secs_f64() - share).max(0.0));
+        }
+    }
+}
+
+/// Fold reading `x` into the running mean `mean`; the first reading sets it.
+fn running_mean(mean: &mut Option<f64>, x: f64) {
+    *mean = Some(mean.map_or(x, |m| m + COST_WEIGHT * (x - m)));
+}
+
 /// The dispatch loop's policies and state, one per backend.
 pub(crate) struct Dispatcher {
     retry: RetryPolicy,
@@ -282,6 +352,8 @@ pub(crate) struct Dispatcher {
     hedge: HedgePolicy,
     /// Online estimate of the hedge quantile over completed job latencies.
     latency: Mutex<P2Quantile>,
+    /// Where the next round runs, learnt from the rounds before it.
+    cost: Mutex<RoundCost>,
     degraded: AtomicBool,
     obs: Option<DispatchObs>,
 }
@@ -295,6 +367,7 @@ impl Dispatcher {
             retry,
             hedge,
             latency: Mutex::new(P2Quantile::new(hedge.quantile)),
+            cost: Mutex::new(RoundCost::default()),
             degraded: AtomicBool::new(false),
             obs: registry.map(DispatchObs::register),
         }
@@ -334,8 +407,12 @@ impl Dispatcher {
         }
     }
 
-    fn estimator(&self) -> std::sync::MutexGuard<'_, P2Quantile> {
+    fn estimator(&self) -> MutexGuard<'_, P2Quantile> {
         self.latency.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn cost(&self) -> MutexGuard<'_, RoundCost> {
+        self.cost.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Feed a completed copy's ship-to-answer latency to the hedge
@@ -400,22 +477,32 @@ impl Dispatcher {
     ) -> Vec<StreamJob<S>> {
         let n = jobs.len();
         let limit = self.retry.timeout.or(L::DEFAULT_TIMEOUT);
-        // The master helps only where a busy master can miss nothing: no
-        // attempt deadline to enforce, no hedge to launch, and no fault
-        // plan aimed at particular workers for it to dodge. The link adds
-        // its own conditions.
-        let help = limit.is_none() && !self.hedge.enabled && link.master_can_help();
+        // A round may run inline only where a busy master can miss nothing:
+        // no attempt deadline to enforce, no hedge to launch, and no fault
+        // plan aimed at particular workers for it to dodge (the link's
+        // part). Then the measured costs decide.
+        let work = if limit.is_none() && !self.hedge.enabled {
+            link.pool_work()
+        } else {
+            None
+        };
+        let inline = work.is_some_and(|w| self.cost().inline(n, w.workers));
         let mut batch: Batch<S, L::Ticket> = Batch {
             pending: (0..n).map(|_| None).collect(),
             out: (0..n).map(|_| None).collect(),
             live: 0,
             legs_shipped: 0,
-            help,
         };
-        // Ship everything before waiting on anything.
-        let shipped = link.ship(&jobs, help);
-        for ((idx, job), shipped) in jobs.into_iter().enumerate().zip(shipped) {
-            self.place(&mut batch, idx, job, 1, shipped);
+        let t0 = Instant::now();
+        if inline {
+            self.run_inline(link, &mut batch, jobs);
+            self.cost().observe_inline(n, t0.elapsed());
+        } else {
+            // Ship everything before waiting on anything.
+            let shipped = link.ship(&jobs);
+            for ((idx, job), shipped) in jobs.into_iter().enumerate().zip(shipped) {
+                self.place(&mut batch, idx, job, 1, shipped);
+            }
         }
         while batch.live > 0 {
             let wait = batch.next_wake(limit, self.hedge_after());
@@ -441,7 +528,7 @@ impl Dispatcher {
                         self.retry_or_inline(link, &mut batch, idx, job, attempt);
                     }
                 } else if p.hedge.is_none() && hedge_after.is_some_and(|after| age >= after) {
-                    if let Shipped::Ticket(t) = ship_one(link, &p.job, help) {
+                    if let Shipped::Ticket(t) = ship_one(link, &p.job) {
                         self.count(|o| &o.hedge_launched);
                         let leg = batch.leg(t);
                         if let Some(p) = &mut batch.pending[idx] {
@@ -467,11 +554,38 @@ impl Dispatcher {
                 }
             }
         }
+        if let (false, Some(before)) = (inline, work) {
+            if let Some(after) = link.pool_work() {
+                self.cost().observe_pooled(n, t0.elapsed(), before, after);
+            }
+        }
         batch
             .out
             .into_iter()
             .map(|o| o.unwrap_or_else(|| panic!("MW dispatch dropped a batch slot")))
             .collect()
+    }
+
+    /// Run a round on the calling thread. Its jobs are their own
+    /// master-side backups: each runs on a clone under `catch_unwind`, and
+    /// one that panics ships to the pool as a retry, so it is lost alone.
+    fn run_inline<S: SampleStream, L: Link<S>>(
+        &self,
+        link: &L,
+        batch: &mut Batch<S, L::Ticket>,
+        jobs: Vec<StreamJob<S>>,
+    ) {
+        if let Some(o) = &self.obs {
+            o.inline_batches.inc();
+            o.inline_jobs.add(jobs.len() as u64);
+        }
+        for (idx, job) in jobs.into_iter().enumerate() {
+            let run = job.clone();
+            match std::panic::catch_unwind(AssertUnwindSafe(|| extend_job(run))) {
+                Ok(done) => batch.out[idx] = Some(done),
+                Err(_) => self.retry_or_inline(link, batch, idx, job, 1),
+            }
+        }
     }
 
     /// Record what the link did with `job` as a new attempt: in flight, or
@@ -523,7 +637,7 @@ impl Dispatcher {
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
-            let shipped = ship_one(link, &job, batch.help);
+            let shipped = ship_one(link, &job);
             self.place(batch, idx, job, attempt, shipped);
             return;
         }
@@ -1012,14 +1126,19 @@ pub(crate) mod tests {
         assert_eq!(reg.counter("mw.backend.jobs").get(), 15, "{kind:?}");
         assert!(reg.counter("mw.backend.fanout_nanos").get() > 0, "{kind:?}");
         assert_eq!(reg.gauge("mw.backend.batch_size_hwm").max(), 5, "{kind:?}");
-        // The pool mirrored its own counters too. Under `NSX_FAULTS` chaos
-        // runs, retries may add submissions beyond the batch jobs, so this
-        // is a floor rather than an exact count.
-        let shipped = match kind {
-            Kind::Threads => reg.counter("mw.pool.jobs_submitted").get(),
+        // The pool mirrored its own counters too, and the thread link's
+        // cheap rounds may run inline instead, so jobs are counted wherever
+        // they ran. Under `NSX_FAULTS` chaos runs, retries may add
+        // submissions beyond the batch jobs, so this is a floor rather than
+        // an exact count.
+        let ran = match kind {
+            Kind::Threads => {
+                reg.counter("mw.pool.jobs_submitted").get()
+                    + reg.counter("mw.backend.inline_jobs").get()
+            }
             Kind::Processes => reg.counter("mw.transport.frames_sent").get(),
         };
-        assert!(shipped >= 15, "{kind:?}");
+        assert!(ran >= 15, "{kind:?}");
     }
 
     fn shared_backend_is_one_pool(kind: Kind) {
@@ -1040,7 +1159,7 @@ pub(crate) mod tests {
     /// Ship `jobs` as one round straight onto `pool`'s link and wait out
     /// every answer: `true` for each job done, `false` for each lost.
     fn ship_round(pool: &MwPool, jobs: &[StreamJob<Stream>]) -> Vec<bool> {
-        let tickets: Vec<_> = Link::ship(pool, jobs, false)
+        let tickets: Vec<_> = Link::ship(pool, jobs)
             .into_iter()
             .map(|shipped| match shipped {
                 Shipped::Ticket(t) => t,
@@ -1125,6 +1244,43 @@ pub(crate) mod tests {
             assert_eq!(reg.counter("mw.pool.workers_lost").get(), 0);
         }
 
+        /// A fault-free threaded backend with hedging off and its counters
+        /// in `reg`: one whose rounds the cost model may run inline.
+        fn unhedged(n_workers: usize, reg: &MetricsRegistry) -> ThreadedBackend {
+            ThreadedBackend::with_options(
+                n_workers,
+                FaultPlan::none(),
+                RetryPolicy::default(),
+                default_respawn_budget(n_workers),
+                Some(reg),
+            )
+            .with_hedge(HedgePolicy::default())
+        }
+
+        fn inline_batches(reg: &MetricsRegistry) -> u64 {
+            reg.counter("mw.backend.inline_batches").get()
+        }
+
+        fn inline_jobs(reg: &MetricsRegistry) -> u64 {
+            reg.counter("mw.backend.inline_jobs").get()
+        }
+
+        fn worker_jobs(b: &ThreadedBackend) -> u64 {
+            b.pool().job_counts().iter().sum()
+        }
+
+        /// Run cheap batches of 8 on `b` until one runs inline. The first
+        /// batch of a backend always ships, and gives the model its costs.
+        fn warm_up(b: &ThreadedBackend, reg: &MetricsRegistry) {
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(1.0));
+            let before = inline_batches(reg);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while inline_batches(reg) == before {
+                assert!(Instant::now() < deadline, "cheap rounds never ran inline");
+                b.extend_batch(jobs_at(&obj, 8));
+            }
+        }
+
         #[test]
         fn pool_counters_count_extensions() {
             let reg = MetricsRegistry::new();
@@ -1139,13 +1295,10 @@ pub(crate) mod tests {
             for _ in 0..3 {
                 b.extend_batch(jobs_at(&obj, 8));
             }
-            assert_eq!(reg.counter("mw.pool.jobs_submitted").get(), 24);
-            let workers: u64 = b.pool().job_counts().iter().sum();
-            assert_eq!(workers + b.pool().master_jobs(), 24);
-            assert_eq!(
-                reg.counter("mw.pool.master_jobs").get(),
-                b.pool().master_jobs()
-            );
+            // Every job is counted once, wherever it ran.
+            let inline = inline_jobs(&reg);
+            assert_eq!(reg.counter("mw.pool.jobs_submitted").get() + inline, 24);
+            assert_eq!(worker_jobs(&b) + inline, 24);
             assert_eq!(b.pool().queue_depth(), 0);
         }
 
@@ -1191,148 +1344,216 @@ pub(crate) mod tests {
                 .collect()
         }
 
-        /// A fault-free threaded backend with hedging off: on two workers
-        /// or more, the master helps with every batch.
-        fn helped(n_workers: usize, reg: &MetricsRegistry) -> ThreadedBackend {
-            ThreadedBackend::with_options(
-                n_workers,
-                FaultPlan::none(),
-                RetryPolicy::default(),
-                default_respawn_budget(n_workers),
-                Some(reg),
-            )
-            .with_hedge(HedgePolicy::default())
+        fn sleep_1ms() {
+            std::thread::sleep(Duration::from_millis(1));
         }
 
-        /// Run `batch` while every worker of `pool` holds a gated job, so
-        /// that no worker can take any of its jobs.
-        fn with_every_worker_parked<R>(pool: &MwPool, batch: impl FnOnce() -> R) -> R {
-            let (started, on) = std::sync::mpsc::channel();
-            let releases: Vec<_> = (0..pool.n_workers())
-                .map(|_| {
-                    let (release, gate) = std::sync::mpsc::channel::<()>();
-                    pool.submit_round(vec![(started.clone(), gate)], |(started, gate), _| {
-                        let _ = started.send(());
-                        let _ = gate.recv();
-                    });
-                    release
-                })
-                .collect();
-            for _ in 0..pool.n_workers() {
-                on.recv().expect("a parking job starts");
-            }
-            let out = batch();
-            for release in releases {
-                let _ = release.send(());
-            }
-            out
+        fn sleep_5ms() {
+            std::thread::sleep(Duration::from_millis(5));
         }
 
         #[test]
-        fn a_master_whose_workers_are_all_busy_runs_the_whole_round() {
+        fn after_warm_up_cheap_rounds_run_inline_bit_for_bit() {
             let reg = MetricsRegistry::new();
             let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
-            let b = helped(2, &reg);
-            let got = with_every_worker_parked(b.pool(), || b.extend_batch(jobs_at(&obj, 8)));
-            assert_batches_identical(&SerialBackend.extend_batch(jobs_at(&obj, 8)), &got);
-            assert_eq!(b.pool().master_jobs(), 8);
-            assert_eq!(reg.counter("mw.pool.master_jobs").get(), 8);
+            let b = unhedged(2, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
+            // The first round ships: there is no cost to go on yet.
+            assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
+            assert_eq!(inline_batches(&reg), 0);
+            assert_eq!(worker_jobs(&b), 8);
+            for _ in 0..20 {
+                assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
+            }
+            // An inline round the host stalls reads as expensive and sends
+            // a few rounds back to the pool, so this is a floor.
+            let inline = inline_batches(&reg);
+            assert!(inline >= 10, "only {inline} of 20 cheap rounds ran inline");
+            assert_eq!(inline_jobs(&reg), 8 * inline);
+            assert_eq!(worker_jobs(&b) + inline_jobs(&reg), 21 * 8);
             assert_eq!(reg.counter("mw.retry.attempts").get(), 0);
         }
 
         #[test]
-        fn faults_deadlines_hedging_and_a_lone_worker_keep_every_job_on_the_workers() {
+        fn rounds_of_1ms_jobs_on_three_workers_stay_pooled() {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = unhedged(3, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 12));
+            for _ in 0..5 {
+                let t0 = Instant::now();
+                let got = b.extend_batch(hooked(jobs_at(&obj, 12), sleep_1ms));
+                let wall = t0.elapsed();
+                assert_batches_identical(&serial, &unhooked(got));
+                assert!(wall < Duration::from_millis(12), "a round took {wall:?}");
+            }
+            assert_eq!(inline_batches(&reg), 0);
+            assert_eq!(worker_jobs(&b), 60);
+        }
+
+        #[test]
+        fn rounds_whose_jobs_turn_expensive_go_back_to_the_pool_within_one_round() {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = unhedged(2, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
+            let slow = || b.extend_batch(hooked(jobs_at(&obj, 8), sleep_5ms));
+            for _ in 0..10 {
+                warm_up(&b, &reg);
+                let before = inline_batches(&reg);
+                // The round whose jobs turn expensive was chosen to run
+                // inline before any of them ran...
+                assert_batches_identical(&serial, &unhooked(slow()));
+                if inline_batches(&reg) == before {
+                    continue; // a stalled warm-up round had sent it to the pool
+                }
+                // ...and what it measured sends the next one to the pool.
+                assert_batches_identical(&serial, &unhooked(slow()));
+                assert_eq!(inline_batches(&reg), before + 1);
+                return;
+            }
+            panic!("no expensive round ever ran inline");
+        }
+
+        #[test]
+        fn a_job_that_panics_inline_is_lost_alone_and_retried() {
+            static ARMED: AtomicBool = AtomicBool::new(false);
+            /// Panic once, and only on the master: a round that ships
+            /// leaves the hook armed.
+            fn panic_once_on_the_master() {
+                let on_worker = std::thread::current()
+                    .name()
+                    .is_some_and(|name| name.starts_with("mw-worker"));
+                if !on_worker && ARMED.swap(false, Ordering::SeqCst) {
+                    panic!("injected panic in an inline round");
+                }
+            }
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = unhedged(2, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
+            for _ in 0..10 {
+                warm_up(&b, &reg);
+                let (inline, workers) = (inline_jobs(&reg), worker_jobs(&b));
+                ARMED.store(true, Ordering::SeqCst);
+                let got = b.extend_batch(hooked(jobs_at(&obj, 8), panic_once_on_the_master));
+                assert_batches_identical(&serial, &unhooked(got));
+                if ARMED.swap(false, Ordering::SeqCst) {
+                    continue; // the round shipped
+                }
+                assert_eq!(reg.counter("mw.retry.attempts").get(), 1);
+                assert_eq!(inline_jobs(&reg) - inline, 8);
+                assert_eq!(worker_jobs(&b) - workers, 1, "only the retry ships");
+                assert_eq!(b.pool().workers_lost(), 0);
+                assert!(!SamplingBackend::<Hooked>::degraded(&b));
+                return;
+            }
+            panic!("no round ran inline with the hook armed");
+        }
+
+        #[test]
+        fn an_inline_round_needs_no_free_worker() {
+            let reg = MetricsRegistry::new();
+            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
+            let b = unhedged(2, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
+            for _ in 0..10 {
+                warm_up(&b, &reg);
+                let before = inline_jobs(&reg);
+                // Every worker holds a gated job until the batch returns or
+                // a deadline passes; only an inline round can return first.
+                let (started, on) = std::sync::mpsc::channel();
+                let releases: Vec<_> = (0..2)
+                    .map(|_| {
+                        let (release, gate) = std::sync::mpsc::channel::<()>();
+                        let job = (started.clone(), gate);
+                        b.pool().submit_round(vec![job], |(started, gate), _| {
+                            let _ = started.send(());
+                            let _ = gate.recv();
+                        });
+                        release
+                    })
+                    .collect();
+                for _ in 0..2 {
+                    on.recv().expect("a parking job starts");
+                }
+                let (got, parked_throughout) = std::thread::scope(|s| {
+                    let (done, finished) = std::sync::mpsc::channel();
+                    let (b, obj) = (&b, &obj);
+                    let run = s.spawn(move || {
+                        let got = b.extend_batch(jobs_at(obj, 8));
+                        let _ = done.send(());
+                        got
+                    });
+                    let parked_throughout = finished.recv_timeout(Duration::from_secs(10)).is_ok();
+                    for release in releases {
+                        let _ = release.send(());
+                    }
+                    (run.join().expect("batch completes"), parked_throughout)
+                });
+                assert_batches_identical(&serial, &got);
+                if inline_jobs(&reg) == before {
+                    continue; // the round shipped and waited for a worker
+                }
+                assert!(parked_throughout, "an inline round waited for a worker");
+                assert_eq!(inline_jobs(&reg) - before, 8);
+                assert_eq!(reg.counter("mw.retry.attempts").get(), 0);
+                return;
+            }
+            panic!("no round ran inline");
+        }
+
+        #[test]
+        fn deadlines_hedging_and_fault_plans_never_inline() {
             let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
             let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
-            // A fault that never fires still opts the pool out.
-            let faulted = ThreadedBackend::with_options(
-                2,
-                FaultPlan::none().kill(1, 1_000_000),
-                RetryPolicy::default(),
-                default_respawn_budget(2),
-                None,
-            )
-            .with_hedge(HedgePolicy::default());
-            let deadline = ThreadedBackend::with_options(
-                2,
-                FaultPlan::none(),
-                RetryPolicy {
-                    timeout: Some(Duration::from_secs(30)),
-                    ..RetryPolicy::default()
-                },
-                default_respawn_budget(2),
-                None,
-            )
-            .with_hedge(HedgePolicy::default());
-            let hedged = ThreadedBackend::with_options(
-                2,
-                FaultPlan::none(),
-                RetryPolicy::default(),
-                default_respawn_budget(2),
-                None,
-            )
-            .with_hedge(HedgePolicy::parse("on").unwrap());
-            // A helped round brings in one worker fewer, which one worker
-            // cannot do, so its master would make a second thread.
-            let lone = helped(1, &MetricsRegistry::new());
-            for b in [faulted, deadline, hedged, lone] {
+            let with = |faults: FaultPlan, retry: RetryPolicy, hedge: &str| {
+                let reg = MetricsRegistry::new();
+                let b = ThreadedBackend::with_options(
+                    2,
+                    faults,
+                    retry,
+                    default_respawn_budget(2),
+                    Some(&reg),
+                )
+                .with_hedge(HedgePolicy::parse(hedge).unwrap());
+                (b, reg)
+            };
+            let deadline = RetryPolicy {
+                timeout: Some(Duration::from_secs(30)),
+                ..RetryPolicy::default()
+            };
+            for (b, reg) in [
+                // A fault that never fires still keeps every round shipped.
+                with(
+                    FaultPlan::none().kill(1, 1_000_000),
+                    RetryPolicy::default(),
+                    "off",
+                ),
+                with(FaultPlan::none(), deadline, "off"),
+                with(FaultPlan::none(), RetryPolicy::default(), "on"),
+            ] {
                 for _ in 0..5 {
                     assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
                 }
-                assert_eq!(b.pool().master_jobs(), 0);
-                assert_eq!(b.pool().job_counts().iter().sum::<u64>(), 40);
+                assert_eq!(inline_batches(&reg), 0);
+                assert_eq!(worker_jobs(&b), 40);
             }
         }
 
         #[test]
-        fn a_job_that_panics_on_the_master_is_lost_alone_and_retried() {
-            static ARMED: AtomicBool = AtomicBool::new(true);
-            fn panic_once() {
-                if ARMED.swap(false, Ordering::SeqCst) {
-                    panic!("injected panic on the master");
-                }
-            }
+        fn a_one_worker_pool_inlines_cheap_rounds() {
             let reg = MetricsRegistry::new();
             let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
-            let b = helped(2, &reg);
-            let got = with_every_worker_parked(b.pool(), || {
-                b.extend_batch(hooked(jobs_at(&obj, 8), panic_once))
-            });
-            assert!(!ARMED.load(Ordering::SeqCst), "the hook never ran");
-            assert_batches_identical(
-                &SerialBackend.extend_batch(jobs_at(&obj, 8)),
-                &unhooked(got),
-            );
-            assert_eq!(reg.counter("mw.retry.attempts").get(), 1);
-            assert_eq!(b.pool().master_jobs(), 9);
-            assert_eq!(b.pool().workers_lost(), 0);
-            assert!(!SamplingBackend::<Hooked>::degraded(&b));
-        }
-
-        #[test]
-        fn a_helped_round_on_three_workers_is_joined_by_at_most_two() {
-            fn slow() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let reg = MetricsRegistry::new();
-            let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(2.0));
-            let b = helped(3, &reg);
-            let serial = SerialBackend.extend_batch(jobs_at(&obj, 12));
+            let b = unhedged(1, &reg);
+            let serial = SerialBackend.extend_batch(jobs_at(&obj, 8));
             for _ in 0..5 {
-                let before = b.pool().job_counts();
-                let got = b.extend_batch(hooked(jobs_at(&obj, 12), slow));
-                assert_batches_identical(&serial, &unhooked(got));
-                let joined = b
-                    .pool()
-                    .job_counts()
-                    .iter()
-                    .zip(&before)
-                    .filter(|(now, then)| now > then)
-                    .count();
-                assert!(joined <= 2, "{joined} workers joined a helped round");
+                assert_batches_identical(&serial, &b.extend_batch(jobs_at(&obj, 8)));
             }
-            let workers: u64 = b.pool().job_counts().iter().sum();
-            assert_eq!(workers + b.pool().master_jobs(), 60);
+            // One worker can take no work off the master, so once the first
+            // round has measured what shipping costs, no round ships.
+            assert_eq!(inline_batches(&reg), 4);
+            assert_eq!(worker_jobs(&b), 8);
         }
     }
 

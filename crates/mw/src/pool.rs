@@ -14,15 +14,11 @@
 //! lands in its job's slot. A sampling round (`MwPool::submit_round`,
 //! behind the threaded backend) carries one job per stream extension.
 //!
-//! The master does not have to sleep while its round runs. When it helps
-//! (`MwPool::help`), it claims the round's jobs through the same cursor
-//! and runs them itself until none is left unclaimed; such a round brings
-//! in one worker fewer (`MwPool::submit_helped_round`), so the master and
-//! the workers together never outnumber the pool's workers. Then, or when
-//! it does not help, the master sleeps on the pool's completion notifier,
-//! which wakes it when the last job it still awaits in the round lands or
-//! when a job is lost: once per round, not once per job. A job the master
-//! ran never wakes anyone, since the master is the round's one waiter.
+//! The master sleeps on the pool's completion notifier, which wakes it when
+//! the last job it still awaits in the round lands or when a job is lost:
+//! once per round, not once per job. A round too cheap to be worth that
+//! wake-up never reaches the pool: the dispatch loop runs it on the master
+//! (DESIGN.md §8).
 //!
 //! The pool is *supervised* (DESIGN.md §9): every worker slot carries a
 //! liveness flag armed by an RAII guard on the worker thread, so a worker
@@ -42,14 +38,10 @@ use crate::faults::{FaultPlan, WorkerFault};
 use crate::resilience::BackoffPolicy;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use obs::{Counter, Gauge, MetricsRegistry};
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// The worker id a job sees when the master runs it ([`Round::help`]).
-pub(crate) const MASTER: usize = usize::MAX;
 
 /// Per-worker execution counters.
 #[derive(Debug, Default)]
@@ -64,12 +56,11 @@ pub struct WorkerStats {
 
 /// Registry handles mirrored by the pool when one is attached at
 /// construction ([`MwPool::with_metrics`]). Metric names:
-/// `mw.pool.jobs_submitted`, `mw.pool.master_jobs`,
-/// `mw.pool.queue_depth_hwm`, `mw.pool.workers_lost`, `mw.pool.respawns`,
-/// and per worker `w` `mw.pool.worker{w}.{jobs,busy_nanos,idle_nanos}`.
+/// `mw.pool.jobs_submitted`, `mw.pool.queue_depth_hwm`,
+/// `mw.pool.workers_lost`, `mw.pool.respawns`, and per worker `w`
+/// `mw.pool.worker{w}.{jobs,busy_nanos,idle_nanos}`.
 struct PoolObs {
     jobs_submitted: Arc<Counter>,
-    master_jobs: Arc<Counter>,
     queue_depth_hwm: Arc<Gauge>,
     workers_lost: Arc<Counter>,
     respawns: Arc<Counter>,
@@ -82,7 +73,6 @@ impl PoolObs {
     fn register(registry: &MetricsRegistry, n_workers: usize) -> Self {
         PoolObs {
             jobs_submitted: registry.counter("mw.pool.jobs_submitted"),
-            master_jobs: registry.counter("mw.pool.master_jobs"),
             queue_depth_hwm: registry.gauge("mw.pool.queue_depth_hwm"),
             workers_lost: registry.counter("mw.pool.workers_lost"),
             respawns: registry.counter("mw.pool.respawns"),
@@ -203,8 +193,8 @@ struct RoundSlot<T, R> {
 }
 
 /// A round shipped by [`MwPool::submit_round`]: one slot per job, a claim
-/// cursor shared by the queue entries serving the round and by a helping
-/// master, and the count that decides when the master is woken.
+/// cursor shared by the queue entries serving the round, and the count
+/// that decides when the master is woken.
 pub(crate) struct Round<T, R> {
     /// Runs one job, given the id of the worker that claimed it.
     work: fn(T, usize) -> R,
@@ -222,9 +212,6 @@ pub(crate) struct Round<T, R> {
     awaited: AtomicUsize,
     notifier: Arc<CompletionNotifier>,
     queue_depth: Arc<AtomicU64>,
-    /// Shipped by [`MwPool::submit_helped_round`]: the master runs the
-    /// jobs no worker has claimed ([`Round::help`]).
-    helped: bool,
 }
 
 impl<T, R> Round<T, R> {
@@ -265,33 +252,6 @@ impl<T, R> Round<T, R> {
         let awaited = std::mem::replace(&mut slot.awaited, false);
         drop(slot);
         awaited && (self.awaited.fetch_sub(1, Ordering::AcqRel) == 1 || lost)
-    }
-}
-
-impl<T: Send, R: Send> Round<T, R> {
-    /// Run on the calling master, one at a time, every job no worker has
-    /// claimed yet, and return how many it ran. The master claims through
-    /// the workers' cursor, so each job still runs exactly once. Nothing is
-    /// woken for these jobs: the master is the round's one waiter, and it
-    /// is awake. A job that panics here is caught, and its unrun claim
-    /// turns it Lost in its slot as on a worker, so the master retries it
-    /// like any lost job. A round not shipped for help
-    /// ([`MwPool::submit_round`]) is left to the workers: this runs none.
-    pub(crate) fn help(&self) -> u64 {
-        if !self.helped {
-            return 0;
-        }
-        let mut ran = 0;
-        while let Some(pos) = self.claim() {
-            ran += 1;
-            let claim = Claim {
-                round: self,
-                pos,
-                ran: false,
-            };
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| claim.run(MASTER, false)));
-        }
-        ran
     }
 }
 
@@ -409,9 +369,9 @@ impl Drop for Share {
     }
 }
 
-/// A round job in a worker's or the master's hand. Dropped without having
-/// run — its worker died holding it, or the job panicked — it turns Lost
-/// and the master is woken.
+/// A round job in a worker's hand. Dropped without having run — its
+/// worker died holding it, or the job panicked — it turns Lost and the
+/// master is woken.
 struct Claim<'a> {
     round: &'a dyn RoundWork,
     pos: usize,
@@ -536,8 +496,6 @@ pub struct MwPool {
     n_workers: usize,
     stats: Arc<Vec<WorkerStats>>,
     queue_depth: Arc<AtomicU64>,
-    /// Jobs the master ran itself while helping with its rounds.
-    master_jobs: AtomicU64,
     workers_lost: Arc<AtomicU64>,
     respawns: AtomicU64,
     failed: AtomicBool,
@@ -690,6 +648,8 @@ fn spawn_worker(
                         drop(job);
                         return;
                     };
+                    // Wake the master only once the job's busy time is
+                    // counted: the dispatch loop reads it to cost the round.
                     let mut wake = false;
                     me.execute(|| wake = job.run(w, drop_result));
                     if wake {
@@ -784,7 +744,6 @@ impl MwPool {
             n_workers,
             stats,
             queue_depth,
-            master_jobs: AtomicU64::new(0),
             workers_lost,
             respawns: AtomicU64::new(0),
             failed: AtomicBool::new(false),
@@ -969,42 +928,7 @@ impl MwPool {
         T: Send + 'static,
         R: Send + 'static,
     {
-        self.queue_round(inputs, work, false)
-    }
-
-    /// [`MwPool::submit_round`] for a round the master helps with
-    /// ([`MwPool::help`]): at most `workers − 1` workers join it, so the
-    /// master and the workers together never outnumber the pool's workers.
-    /// Without the cap, a round of long jobs on a pool sized to the host's
-    /// CPUs would run one thread more than there are CPUs. A round always
-    /// brings in one worker, so on a 1-worker pool the cap cannot hold:
-    /// there the master does not help ([`MwPool::master_can_help`]).
-    pub(crate) fn submit_helped_round<T, R>(
-        &self,
-        inputs: Vec<T>,
-        work: fn(T, usize) -> R,
-    ) -> Arc<Round<T, R>>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-    {
-        self.queue_round(inputs, work, true)
-    }
-
-    /// Ship `inputs` as one round that up to `min(workers, jobs)` workers
-    /// join, one fewer when the master `helped`.
-    fn queue_round<T, R>(
-        &self,
-        inputs: Vec<T>,
-        work: fn(T, usize) -> R,
-        helped: bool,
-    ) -> Arc<Round<T, R>>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-    {
         let n = inputs.len();
-        let joiners = self.n_workers - usize::from(helped);
         // Enqueue under the core lock, so a pool failing concurrently
         // drains this round's entry rather than stranding it.
         let core = self.lock_core();
@@ -1022,12 +946,11 @@ impl MwPool {
                 .collect(),
             next: AtomicUsize::new(0),
             shares: AtomicUsize::new(usize::from(n > 0)),
-            spare: AtomicUsize::new(joiners.min(n).saturating_sub(1)),
+            spare: AtomicUsize::new(self.n_workers.min(n).saturating_sub(1)),
             queue: queue.map_or_else(Weak::new, Arc::downgrade),
             awaited: AtomicUsize::new(n),
             notifier: Arc::clone(&self.notifier),
             queue_depth: Arc::clone(&self.queue_depth),
-            helped,
         });
         if n == 0 {
             return round;
@@ -1051,37 +974,23 @@ impl MwPool {
         round
     }
 
-    /// Run on the calling master the jobs of `round` that no worker has
-    /// claimed yet, if the round was shipped for that (see
-    /// [`Round::help`]), counting them in [`MwPool::master_jobs`].
-    pub(crate) fn help<T: Send, R: Send>(&self, round: &Round<T, R>) {
-        let ran = round.help();
-        if ran > 0 {
-            self.master_jobs.fetch_add(ran, Ordering::Relaxed);
-            if let Some(o) = self.obs.get() {
-                o.master_jobs.add(ran);
-            }
-        }
+    /// True when the pool injects no faults.
+    pub(crate) fn fault_free(&self) -> bool {
+        self.faults.is_empty()
     }
 
-    /// True when the master may help with its rounds: the pool has two
-    /// workers or more, so that a helped round can bring in one fewer
-    /// ([`MwPool::submit_helped_round`]), and injects no faults, since a
-    /// fault plan aims at particular workers and a job the master took
-    /// would escape it.
-    pub(crate) fn master_can_help(&self) -> bool {
-        self.n_workers > 1 && self.faults.is_empty()
+    /// Jobs run and busy nanoseconds, each summed over the workers.
+    pub(crate) fn work_totals(&self) -> (u64, u64) {
+        self.stats.iter().fold((0, 0), |(jobs, busy), s| {
+            (
+                jobs + s.jobs.load(Ordering::Relaxed),
+                busy + s.busy_nanos.load(Ordering::Relaxed),
+            )
+        })
     }
 
-    /// Jobs the master ran itself while helping with its rounds, over the
-    /// pool's lifetime. The per-worker counters ([`MwPool::job_counts`],
-    /// [`MwPool::busy_seconds`], [`MwPool::idle_seconds`]) exclude them.
-    pub fn master_jobs(&self) -> u64 {
-        self.master_jobs.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of per-worker job counts (jobs the master ran are in
-    /// [`MwPool::master_jobs`]).
+    /// Snapshot of per-worker job counts (rounds the dispatch loop ran
+    /// inline are not in them).
     pub fn job_counts(&self) -> Vec<u64> {
         self.stats
             .iter()

@@ -772,7 +772,7 @@ impl<S: SampleStream> Link<S> for ProcessPool {
 
     const DEFAULT_TIMEOUT: Option<Duration> = Some(DEFAULT_ATTEMPT_TIMEOUT);
 
-    fn ship(&self, jobs: &[StreamJob<S>], _help: bool) -> Vec<Shipped<Self::Ticket>> {
+    fn ship(&self, jobs: &[StreamJob<S>]) -> Vec<Shipped<Self::Ticket>> {
         let Some(wire_id) = S::wire_id() else {
             if let Some(o) = &self.obs {
                 o.inline_jobs.add(jobs.len() as u64);

@@ -432,6 +432,70 @@ mod tests {
     }
 
     #[test]
+    fn the_live_index_tracks_admit_finish_quarantine_and_readmit() {
+        use mw_framework::FaultPlan;
+        fn admit<'a, F: StochasticObjective>(
+            sched: &mut Scheduler<'a, F>,
+            spec: RunSpec<'a, F>,
+        ) -> u64 {
+            let id = sched.admit(spec).unwrap();
+            sched.assert_index_matches_entries();
+            id
+        }
+        fn tick<F: StochasticObjective>(sched: &mut Scheduler<'_, F>) -> bool {
+            let more = sched.tick();
+            sched.assert_index_matches_entries();
+            more
+        }
+        let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(6.0));
+        // A dedicated backend whose sole worker dies after 2 jobs with no
+        // respawn budget: its run is quarantined after its first tick.
+        let doomed = || SimplexConfig {
+            backend: BackendChoice::Threaded { workers: 1 },
+            faults: Some(FaultPlan::none().kill(0, 2)),
+            respawn_budget: Some(0),
+            ..SimplexConfig::default()
+        };
+        let mut sched = Scheduler::new(
+            SchedConfig {
+                width: 2,
+                quantum: 2,
+            },
+            Arc::new(SerialBackend),
+        );
+        let spec = |cfg: SimplexConfig, iters: u64, seed: u64| {
+            RunSpec::new(
+                &obj,
+                init(seed),
+                cfg,
+                term(iters),
+                TimeMode::Parallel,
+                seed,
+                Driver::Det,
+            )
+        };
+        admit(&mut sched, spec(serial_cfg(), 4, 1));
+        let first_doomed = admit(&mut sched, spec(doomed(), 12, 2));
+        admit(&mut sched, spec(serial_cfg(), 8, 3));
+        for _ in 0..3 {
+            tick(&mut sched);
+        }
+        let second_doomed = admit(&mut sched, spec(doomed(), 12, 4));
+        admit(&mut sched, spec(serial_cfg(), 6, 5));
+        while tick(&mut sched) {}
+        assert_eq!(sched.quarantined(), vec![first_doomed, second_doomed]);
+        assert!(sched.readmit(first_doomed));
+        sched.assert_index_matches_entries();
+        admit(&mut sched, spec(serial_cfg(), 4, 6));
+        tick(&mut sched);
+        assert!(sched.readmit(second_doomed));
+        sched.assert_index_matches_entries();
+        while tick(&mut sched) {}
+        assert!(sched.quarantined().is_empty());
+        assert!((0..6).all(|id| sched.result(id).is_some()));
+    }
+
+    #[test]
     fn malformed_specs_are_refused_at_admission() {
         let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(10.0));
         let mut sched = Scheduler::new(SchedConfig::default(), Arc::new(SerialBackend));

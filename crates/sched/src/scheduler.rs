@@ -53,6 +53,7 @@ use noisy_simplex::result::{RunNote, RunResult};
 use noisy_simplex::session::{Driver, Progress, RunSession, SessionStatus};
 use noisy_simplex::termination::Termination;
 use obs::{Counter, Gauge, MetricsRegistry};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 use stoch_eval::backend::{SamplingBackend, StreamJob};
@@ -197,6 +198,12 @@ pub struct Scheduler<'a, F: StochasticObjective> {
     fleet: FleetObs,
     service: MetricsRegistry,
     entries: Vec<Entry<'a, F>>,
+    /// Ids of the runs neither done nor quarantined: the ready set. Kept
+    /// on admit, finish, quarantine and readmit, so a tick costs O(live
+    /// runs), however many runs the service has finished.
+    live: BTreeSet<usize>,
+    /// Ids of the quarantined runs.
+    parked: BTreeSet<usize>,
     ticks: Arc<Counter>,
     admitted: Arc<Counter>,
     completed: Arc<Counter>,
@@ -232,6 +239,8 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             fairness_spread: service.gauge("sched.fairness.vruntime_spread_milli"),
             service,
             entries: Vec::new(),
+            live: BTreeSet::new(),
+            parked: BTreeSet::new(),
             writer: Writer::new(),
         }
     }
@@ -298,17 +307,22 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             ckpt_failed: false,
         };
         self.entries.push(entry);
+        self.live.insert(id as usize);
         self.admitted.inc();
         Ok(id)
     }
 
-    fn ready_indices(&self) -> Vec<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !matches!(e.state, State::Done(_) | State::Quarantined(_)))
-            .map(|(i, _)| i)
-            .collect()
+    /// The live index against a scan of every entry, which it replaces.
+    #[cfg(test)]
+    pub(crate) fn assert_index_matches_entries(&self) {
+        let ids = |keep: fn(&State<'a, F>) -> bool| -> BTreeSet<usize> {
+            (0..self.entries.len())
+                .filter(|&i| keep(&self.entries[i].state))
+                .collect()
+        };
+        let live = ids(|s| !matches!(s, State::Done(_) | State::Quarantined(_)));
+        assert_eq!(self.live, live, "live index");
+        assert_eq!(self.parked, ids(|s| matches!(s, State::Quarantined(_))));
     }
 
     /// Run one scheduling tick: select up to `width` ready runs by minimum
@@ -324,7 +338,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
     /// backend sample on it inline.
     pub fn tick(&mut self) -> bool {
         self.land_checkpoint_failures();
-        let mut ready = self.ready_indices();
+        let mut ready: Vec<usize> = self.live.iter().copied().collect();
         if ready.is_empty() {
             return false;
         }
@@ -448,6 +462,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                     res.notes.push(RunNote::Quarantined);
                 }
                 e.state = State::Done(Box::new(res));
+                self.live.remove(&i);
                 self.completed.inc();
             } else {
                 e.ready_since = Some(Instant::now());
@@ -463,6 +478,8 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
                         e.was_quarantined = true;
                         e.dedicated = None;
                         e.state = State::Quarantined(payload);
+                        self.live.remove(&i);
+                        self.parked.insert(i);
                         self.quarantines.inc();
                         continue;
                     }
@@ -487,20 +504,20 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
             }
         }
 
-        let live: Vec<f64> = self
-            .entries
-            .iter()
-            .filter(|e| e.started && !matches!(e.state, State::Done(_)))
-            .map(|e| e.vruntime)
-            .collect();
-        if live.len() > 1 {
-            let max = live.iter().cloned().fold(f64::MIN, f64::max);
-            let min = live.iter().cloned().fold(f64::MAX, f64::min);
+        // The vruntime spread over started runs not yet done.
+        let (mut started, mut min, mut max) = (0, f64::MAX, f64::MIN);
+        for &i in self.live.iter().chain(&self.parked) {
+            let e = &self.entries[i];
+            if e.started {
+                started += 1;
+                min = min.min(e.vruntime);
+                max = max.max(e.vruntime);
+            }
+        }
+        if started > 1 {
             self.fairness_spread.record(((max - min) * 1000.0) as u64);
         }
-        self.entries
-            .iter()
-            .any(|e| !matches!(e.state, State::Done(_)))
+        !self.live.is_empty() || !self.parked.is_empty()
     }
 
     /// Run every posted round as one batch on the inner backend and split
@@ -573,12 +590,7 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
 
     /// Ids of runs currently quarantined (DESIGN.md §16).
     pub fn quarantined(&self) -> Vec<u64> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| matches!(e.state, State::Quarantined(_)))
-            .map(|(i, _)| i as u64)
-            .collect()
+        self.parked.iter().map(|&i| i as u64).collect()
     }
 
     /// Re-admit a quarantined run from its eviction checkpoint. The hostile
@@ -605,6 +617,8 @@ impl<'a, F: StochasticObjective> Scheduler<'a, F> {
         e.dedicated = None;
         e.state = State::Suspended(payload);
         e.ready_since = Some(Instant::now());
+        self.parked.remove(&(id as usize));
+        self.live.insert(id as usize);
         true
     }
 

@@ -2,18 +2,22 @@
 //! over the worker pool, and the scale-up machinery produces consistent
 //! accounting.
 
-use mw_framework::{Allocation, MwPool, ThreadedBackend};
+use mw_framework::{
+    default_respawn_budget, Allocation, FaultPlan, MwPool, RetryPolicy, ThreadedBackend,
+};
 use noisy_simplex::prelude::*;
+use obs::MetricsRegistry;
 use repro_bench::scaleup::scaleup_rosenbrock;
 use std::sync::Arc;
 use stoch_eval::functions::Rosenbrock;
 use stoch_eval::noise::ConstantNoise;
 use stoch_eval::sampler::Noisy;
 
-/// Run `method` to completion with every sampling round fanned over `pool`.
-fn run_over_pool<F: stoch_eval::objective::StochasticObjective>(
+/// Run `method` to completion with every sampling round dispatched by
+/// `backend`.
+fn run_over<F: stoch_eval::objective::StochasticObjective>(
     method: &impl Method,
-    pool: &Arc<MwPool>,
+    backend: &Arc<ThreadedBackend>,
     obj: &F,
     init: Vec<Vec<f64>>,
     term: Termination,
@@ -27,14 +31,21 @@ fn run_over_pool<F: stoch_eval::objective::StochasticObjective>(
         TimeMode::Parallel,
         seed,
         method.driver(),
-        Arc::new(ThreadedBackend::over(Arc::clone(pool))),
+        Arc::clone(backend) as Arc<_>,
     )
     .run_to_completion()
 }
 
 #[test]
 fn every_method_runs_over_the_mw_pool() {
-    let pool = Arc::new(MwPool::new(3));
+    let reg = MetricsRegistry::new();
+    let backend = Arc::new(ThreadedBackend::with_options(
+        3,
+        FaultPlan::none(),
+        RetryPolicy::default(),
+        default_respawn_budget(3),
+        Some(&reg),
+    ));
     let obj = Noisy::new(Rosenbrock::new(2), ConstantNoise(5.0));
     let term = Termination {
         tolerance: Some(1e-3),
@@ -50,11 +61,13 @@ fn every_method_runs_over_the_mw_pool() {
     ];
     for (i, m) in methods.iter().enumerate() {
         let init = init::random_uniform(2, -3.0, 3.0, i as u64);
-        let res = run_over_pool(m, &pool, &obj, init, term, i as u64);
+        let res = run_over(m, &backend, &obj, init, term, i as u64);
         assert!(res.iterations > 0, "{} made no progress over MW", m.name());
     }
-    // The master runs the jobs of its rounds that no worker has claimed.
-    let jobs: u64 = pool.job_counts().iter().sum::<u64>() + pool.master_jobs();
+    // Jobs count wherever they ran: on a worker, or inline on the master
+    // when the round was too cheap to ship.
+    let workers: u64 = backend.pool().job_counts().iter().sum();
+    let jobs = workers + reg.counter("mw.backend.inline_jobs").get();
     assert!(jobs > 100, "pool executed only {jobs} jobs");
 }
 
@@ -63,7 +76,7 @@ fn mw_runs_are_reproducible_despite_threading() {
     // The pool executes sampling on arbitrary workers, but seeds determine
     // the streams completely: two identical deployments must agree exactly.
     let run = || {
-        let pool = Arc::new(MwPool::new(4));
+        let backend = Arc::new(ThreadedBackend::over(Arc::new(MwPool::new(4))));
         let obj = Noisy::new(Rosenbrock::new(3), ConstantNoise(50.0));
         let init = init::random_uniform(3, -6.0, 3.0, 9);
         let term = Termination {
@@ -71,7 +84,7 @@ fn mw_runs_are_reproducible_despite_threading() {
             max_time: None,
             max_iterations: Some(40),
         };
-        run_over_pool(&MaxNoise::with_k(2.0), &pool, &obj, init, term, 13)
+        run_over(&MaxNoise::with_k(2.0), &backend, &obj, init, term, 13)
     };
     let a = run();
     let b = run();
